@@ -49,7 +49,7 @@ from .coded import encode_job, execute_round, load_matrix
 from .zero_waste import (
     build_transition_graph,
     find_delta_matching,
-    hall_feasible_for_leaver,
+    infeasible_leave_error,
     zero_waste_join,
     zero_waste_leave,
 )
@@ -162,10 +162,8 @@ def _cmd_transition(args) -> int:
         if leaving:
             result = zero_waste_leave(alloc, args.leave)
             if result is None:
-                witness = hall_feasible_for_leaver(alloc, args.leave).witness
-                print(f"no zero-waste transition for leaver {args.leave}; "
-                      f"violating machine subset: {list(witness)}", file=sys.stderr)
-                return CHECK_FAILURE
+                raise infeasible_leave_error(
+                    alloc, args.leave, f"no zero-waste transition for leaver {args.leave}")
             matching = find_delta_matching(build_transition_graph(alloc, args.leave))
             print("matching: " + json.dumps(
                 {str(t): m for t, m in sorted(matching.assignment.items())}),

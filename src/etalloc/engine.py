@@ -18,7 +18,6 @@ from . import cyclic as cyc
 from .core import (
     ElasticEvent,
     EtallocError,
-    InfeasibleTransitionError,
     TaskAllocation,
     require_valid,
     tas_from_document,
@@ -27,7 +26,7 @@ from .core import (
 )
 from .zero_waste import (
     best_effort_leave,
-    hall_feasible_for_leaver,
+    infeasible_leave_error,
     zero_waste_join,
     zero_waste_leave,
 )
@@ -182,6 +181,8 @@ class TraceRunner:
             if self.trace.n_max is not None and n + 1 > self.trace.n_max:
                 raise EtallocError(
                     f"event {index}: join would exceed the declared bound {self.trace.n_max}")
+            if event.machine in alloc.task_sets:
+                raise EtallocError(f"event {index}: machine {event.machine} is already active")
         handler = {
             "cyclic": self._step_cyclic,
             "shifted_cyclic": self._step_shifted,
@@ -248,13 +249,10 @@ class TraceRunner:
             outcome = zero_waste_leave(alloc, machine)
             if outcome is None:
                 if self.strategy != "zero_waste_with_fallback":
-                    witness = None
-                    if alloc.n_machines <= 16:
-                        witness = hall_feasible_for_leaver(alloc, machine).witness
-                    raise InfeasibleTransitionError(
-                        f"event {index}: no zero-waste transition when machine "
-                        f"{machine} leaves; violating machine subset: {witness}",
-                        witness=witness, event_index=index)
+                    raise infeasible_leave_error(
+                        alloc, machine,
+                        f"event {index}: no zero-waste transition when machine {machine} leaves",
+                        event_index=index)
                 outcome = best_effort_leave(alloc, machine)
                 self._history.append((alloc, machine))
                 return EventRecord(index, "leave", machine, outcome.total_waste,
@@ -374,10 +372,9 @@ class TransitionTree:
             raise ValueError(f"machine {leaver} is not active at node {node.path}")
         outcome = zero_waste_leave(node.allocation, leaver)
         if outcome is None:
-            raise InfeasibleTransitionError(
-                f"no zero-waste transition at node {node.path} for leaver {leaver}",
-                witness=hall_feasible_for_leaver(node.allocation, leaver).witness
-                if node.allocation.n_machines <= 16 else None)
+            raise infeasible_leave_error(
+                node.allocation, leaver,
+                f"no zero-waste transition at node {node.path} for leaver {leaver}")
         child = TreeNode(allocation=outcome.new_alloc, parent=node,
                          leaver_from_parent=leaver)
         node.children[leaver] = child

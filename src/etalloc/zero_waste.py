@@ -13,10 +13,12 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 from .core import (
     DivisibilityError,
+    InfeasibleTransitionError,
     TaskAllocation,
     TransitionOutcome,
     require_valid,
@@ -31,6 +33,7 @@ __all__ = [
     "build_transition_graph",
     "hall_feasible_for_leaver",
     "hall_feasible_all_leavers",
+    "infeasible_leave_error",
     "find_delta_matching",
     "zero_waste_leave",
     "best_effort_leave",
@@ -162,8 +165,11 @@ def hall_feasible_all_leavers(alloc: TaskAllocation) -> HallResult:
 
     Feasible iff every set I of 2..L machines has |common tasks| at most
     (N - |I|) times the per-machine intake.  Singletons meet the bound with
-    equality and more than L sets share no task, so only 2 <= |I| <= L is
-    checked.  A violating I is returned as witness.
+    equality, and a set whose members share no task meets it trivially, so
+    only the subsets of some task's holder set are counted: at most
+    #holder-sets * 2^L of them rather than C(N, 2..L).  The witness is the
+    first violating I in (size, labels) order, as a full enumeration would
+    find it.
     """
     require_valid(alloc)
     n, l, f = alloc.n_machines, alloc.redundancy, alloc.n_tasks
@@ -171,13 +177,37 @@ def hall_feasible_all_leavers(alloc: TaskAllocation) -> HallResult:
         raise DivisibilityError(
             f"per-machine intake is not an integer: {n * (n - 1)} must divide {l * f}")
     delta = (l * f) // (n * (n - 1))
-    machines = sorted(alloc.machine_ids)
-    for size in range(2, min(l, n) + 1):
-        for subset in itertools.combinations(machines, size):
-            common = frozenset.intersection(*(alloc.task_sets[m] for m in subset))
-            if len(common) > (n - size) * delta:
-                return HallResult(feasible=False, witness=subset)
+    holders: list[list[int]] = [[] for _ in range(f)]
+    for m in sorted(alloc.machine_ids):
+        for t in alloc.task_sets[m]:
+            holders[t].append(m)
+    common: Counter[tuple[int, ...]] = Counter()
+    for holder_set, size in Counter(map(tuple, holders)).items():
+        for k in range(2, len(holder_set) + 1):
+            for subset in itertools.combinations(holder_set, k):
+                common[subset] += size
+    violating = [s for s, c in common.items() if c > (n - len(s)) * delta]
+    if violating:
+        return HallResult(feasible=False, witness=min(violating, key=lambda s: (len(s), s)))
     return HallResult(feasible=True)
+
+
+def infeasible_leave_error(alloc: TaskAllocation, leaver: int, context: str,
+                           event_index: int | None = None) -> InfeasibleTransitionError:
+    """The error for a leave with no zero-waste move, carrying a Hall witness.
+
+    The witness comes from :func:`hall_feasible_for_leaver`, whose subset
+    enumeration is exponential in N; above the enumeration limit the error
+    says that no witness was computed instead.
+    """
+    if alloc.n_machines <= _MAX_ENUMERATION_MACHINES:
+        witness = hall_feasible_for_leaver(alloc, leaver).witness
+        detail = f"violating machine subset: {list(witness)}"
+    else:
+        witness = None
+        detail = f"no witness computed above {_MAX_ENUMERATION_MACHINES} machines"
+    return InfeasibleTransitionError(f"{context}; {detail}", witness=witness,
+                                     event_index=event_index)
 
 
 class _Dinic:
@@ -240,9 +270,13 @@ class _Dinic:
 def find_delta_matching(graph: TransitionGraph) -> DeltaMatching | None:
     """Perfect Delta-matching of a transition graph via max flow, or None.
 
-    Network: source -> machine (capacity delta) -> task (capacity 1) -> sink
-    (capacity 1).  A perfect matching exists iff the max flow saturates every
-    task, which by Hall's condition is exactly when the counting oracle passes.
+    Tasks held by the same survivors can be absorbed by the same machines, so
+    the flow runs on those holder-set classes: source -> machine (capacity
+    delta) -> class (capacity = class size) -> sink (capacity = class size).
+    A perfect matching exists iff the max flow saturates every class, which by
+    Hall's condition is exactly when the counting oracle passes.  The flow
+    expands to single tasks deterministically: each class hands out its tasks
+    in ascending order to its machines in ``graph.left`` order.
     """
     if graph.delta is None:
         raise DivisibilityError("matching needs an integral per-machine intake")
@@ -251,21 +285,35 @@ def find_delta_matching(graph: TransitionGraph) -> DeltaMatching | None:
         return DeltaMatching(assignment={}, delta=graph.delta) if not graph.right else None
     if not graph.right:
         return DeltaMatching(assignment={}, delta=graph.delta)
-    machine_node = {u: 1 + i for i, u in enumerate(graph.left)}
-    task_node = {v: 1 + len(graph.left) + j for j, v in enumerate(graph.right)}
-    sink = 1 + len(graph.left) + len(graph.right)
-    net = _Dinic(sink + 1)
-    for u in graph.left:
-        net.add_edge(0, machine_node[u], graph.delta)
-    edge_index: dict[int, tuple[int, int]] = {}
-    for u in graph.left:
-        for v in sorted(graph.neighbors[u]):
-            edge_index[net.add_edge(machine_node[u], task_node[v], 1)] = (u, v)
+    # Bit i of a task's key marks it as held (not absorbable) by graph.left[i].
+    key = dict.fromkeys(graph.right, 0)
+    right = frozenset(graph.right)
+    for i, u in enumerate(graph.left):
+        bit = 1 << i
+        for v in right - graph.neighbors[u]:
+            key[v] |= bit
+    classes: dict[int, list[int]] = {}
     for v in graph.right:
-        net.add_edge(task_node[v], sink, 1)
+        classes.setdefault(key[v], []).append(v)
+    class_node = {k: 1 + len(graph.left) + j for j, k in enumerate(classes)}
+    sink = 1 + len(graph.left) + len(classes)
+    net = _Dinic(sink + 1)
+    for i in range(len(graph.left)):
+        net.add_edge(0, 1 + i, graph.delta)
+    edge_index: list[tuple[int, int, int]] = []
+    for i, u in enumerate(graph.left):
+        for k, tasks in classes.items():
+            if not k >> i & 1:
+                edge_index.append((net.add_edge(1 + i, class_node[k], len(tasks)), u, k))
+    for k, tasks in classes.items():
+        net.add_edge(class_node[k], sink, len(tasks))
     if net.max_flow(0, sink) != len(graph.right):
         return None
-    assignment = {v: u for idx, (u, v) in edge_index.items() if net.cap[idx] == 0}
+    pending = {k: iter(tasks) for k, tasks in classes.items()}
+    assignment = {}
+    for idx, u, k in edge_index:
+        for _ in range(net.cap[idx ^ 1]):
+            assignment[next(pending[k])] = u
     matching = DeltaMatching(assignment=assignment, delta=graph.delta)
     matching.check(graph)
     return matching
@@ -309,20 +357,25 @@ class _MinCostFlow:
         self.cap: list[int] = []
         self.cost: list[int] = []
 
-    def add_edge(self, u: int, v: int, capacity: int, cost: int) -> int:
+    def add_edge(self, u: int, v: int, capacity: int, cost: int, flow: int = 0) -> int:
+        """Add an arc already carrying ``flow`` of its ``capacity`` units."""
         idx = len(self.to)
         self.head[u].append(idx)
         self.to.append(v)
-        self.cap.append(capacity)
+        self.cap.append(capacity - flow)
         self.cost.append(cost)
         self.head[v].append(idx + 1)
         self.to.append(u)
-        self.cap.append(0)
+        self.cap.append(flow)
         self.cost.append(-cost)
         return idx
 
     def min_cost_flow(self, source: int, sink: int, amount: int) -> int:
-        """Push ``amount`` units at minimum cost; raises if that much cannot flow."""
+        """Push ``amount`` more units at minimum cost; raises if that much cannot flow.
+
+        Any flow set up by :meth:`add_edge` must leave no negative-cost cycle
+        in the residual graph, so that zero potentials start Dijkstra right.
+        """
         potential = [0] * self.n
         total_cost = 0
         remaining = amount
@@ -385,20 +438,28 @@ def best_effort_leave(alloc: TaskAllocation, leaver: int) -> TransitionOutcome:
             f"no balanced allocation on {n - 1} machines: {n - 1} does not divide {l * f}")
     survivors = tuple(m for m in alloc.machine_ids if m != leaver)
     load = l * f // (n - 1)
+    kept = [0] * f
+    for m in survivors:
+        for t in alloc.task_sets[m]:
+            kept[t] += 1
     task_node = {t: 1 + t for t in range(f)}
     machine_node = {m: 1 + f + i for i, m in enumerate(survivors)}
     sink = 1 + f + len(survivors)
     net = _MinCostFlow(sink + 1)
+    # Warm start: every incidence a survivor keeps already carries its unit at
+    # cost 0, so the residual graph has no negative arc and only the leaver's
+    # L*F/N units are left to route.
     for t in range(f):
-        net.add_edge(0, task_node[t], l, 0)
+        net.add_edge(0, task_node[t], l, 0, flow=kept[t])
     edge_of: dict[int, tuple[int, int]] = {}
     for t in range(f):
         for m in survivors:
-            keep = t in alloc.task_sets[m]
-            edge_of[net.add_edge(task_node[t], machine_node[m], 1, 0 if keep else 1)] = (t, m)
+            keep = int(t in alloc.task_sets[m])
+            edge_of[net.add_edge(task_node[t], machine_node[m], 1, 1 - keep,
+                                 flow=keep)] = (t, m)
     for m in survivors:
-        net.add_edge(machine_node[m], sink, load, 0)
-    net.min_cost_flow(0, sink, l * f)
+        net.add_edge(machine_node[m], sink, load, 0, flow=len(alloc.task_sets[m]))
+    net.min_cost_flow(0, sink, l * f - sum(kept))
     new_sets: dict[int, set[int]] = {m: set() for m in survivors}
     for idx, (t, m) in edge_of.items():
         if net.cap[idx] == 0:

@@ -1,0 +1,92 @@
+"""Per-task reference solvers that the holder-class solvers are tested against.
+
+Each function here is the direct formulation the package's solver refines:
+one flow node per task, every machine subset enumerated, and a min-cost flow
+that routes all L*F units from an empty flow.  They are slow on purpose and
+live only in the tests.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from etalloc import (
+    DeltaMatching,
+    DivisibilityError,
+    HallResult,
+    TaskAllocation,
+    TransitionGraph,
+    TransitionOutcome,
+    transition_waste,
+    validate_tas,
+)
+from etalloc.zero_waste import _Dinic, _MinCostFlow
+
+
+def find_delta_matching_per_task(graph: TransitionGraph) -> DeltaMatching | None:
+    """Dinic on source -> machine (delta) -> task (1) -> sink (1)."""
+    if graph.delta is None:
+        raise DivisibilityError("matching needs an integral per-machine intake")
+    if graph.delta * len(graph.left) != len(graph.right):
+        return DeltaMatching(assignment={}, delta=graph.delta) if not graph.right else None
+    if not graph.right:
+        return DeltaMatching(assignment={}, delta=graph.delta)
+    machine_node = {u: 1 + i for i, u in enumerate(graph.left)}
+    task_node = {v: 1 + len(graph.left) + j for j, v in enumerate(graph.right)}
+    sink = 1 + len(graph.left) + len(graph.right)
+    net = _Dinic(sink + 1)
+    for u in graph.left:
+        net.add_edge(0, machine_node[u], graph.delta)
+    edge_index: dict[int, tuple[int, int]] = {}
+    for u in graph.left:
+        for v in sorted(graph.neighbors[u]):
+            edge_index[net.add_edge(machine_node[u], task_node[v], 1)] = (u, v)
+    for v in graph.right:
+        net.add_edge(task_node[v], sink, 1)
+    if net.max_flow(0, sink) != len(graph.right):
+        return None
+    assignment = {v: u for idx, (u, v) in edge_index.items() if net.cap[idx] == 0}
+    return DeltaMatching(assignment=assignment, delta=graph.delta)
+
+
+def hall_feasible_all_leavers_enumerated(alloc: TaskAllocation) -> HallResult:
+    """The intersection bound checked on every machine subset of size 2..L."""
+    assert validate_tas(alloc).ok
+    n, l, f = alloc.n_machines, alloc.redundancy, alloc.n_tasks
+    if n <= 1 or (l * f) % (n * (n - 1)) != 0:
+        raise DivisibilityError("per-machine intake is not an integer")
+    delta = (l * f) // (n * (n - 1))
+    machines = sorted(alloc.machine_ids)
+    for size in range(2, min(l, n) + 1):
+        for subset in itertools.combinations(machines, size):
+            common = frozenset.intersection(*(alloc.task_sets[m] for m in subset))
+            if len(common) > (n - size) * delta:
+                return HallResult(feasible=False, witness=subset)
+    return HallResult(feasible=True)
+
+
+def best_effort_leave_cold(alloc: TaskAllocation, leaver: int) -> TransitionOutcome:
+    """Min-cost flow routing all L*F units from an empty flow."""
+    n, l, f = alloc.n_machines, alloc.redundancy, alloc.n_tasks
+    survivors = tuple(m for m in alloc.machine_ids if m != leaver)
+    load = l * f // (n - 1)
+    machine_node = {m: 1 + f + i for i, m in enumerate(survivors)}
+    sink = 1 + f + len(survivors)
+    net = _MinCostFlow(sink + 1)
+    for t in range(f):
+        net.add_edge(0, 1 + t, l, 0)
+    edge_of: dict[int, tuple[int, int]] = {}
+    for t in range(f):
+        for m in survivors:
+            cost = 0 if t in alloc.task_sets[m] else 1
+            edge_of[net.add_edge(1 + t, machine_node[m], 1, cost)] = (t, m)
+    for m in survivors:
+        net.add_edge(machine_node[m], sink, load, 0)
+    net.min_cost_flow(0, sink, l * f)
+    new_sets: dict[int, set[int]] = {m: set() for m in survivors}
+    for idx, (t, m) in edge_of.items():
+        if net.cap[idx] == 0:
+            new_sets[m].add(t)
+    new_alloc = TaskAllocation(n_machines=n - 1, redundancy=l, n_tasks=f,
+                               machine_ids=survivors, task_sets=new_sets)
+    return transition_waste(alloc, new_alloc, leaver=leaver)

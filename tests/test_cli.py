@@ -123,6 +123,13 @@ class TestTransition:
                             "--strategy", "zero_waste"], capsys)
         assert code == 1 and "violating machine subset" in err
 
+    def test_infeasible_above_enumeration_limit_exits_one(self, tmp_path, capsys):
+        bad = tmp_path / "doubled22.json"
+        bad.write_text(tas_to_json(doubled_block_tas(22, 462)))
+        code, _, err = run(["transition", "--tas", str(bad), "--leave", "1",
+                            "--strategy", "zero_waste"], capsys)
+        assert code == 1 and "no witness computed above 20 machines" in err
+
     def test_unknown_machine_is_usage_error(self, fig1a, capsys):
         code, _, _ = run(["transition", "--tas", str(fig1a), "--leave", "9"], capsys)
         assert code == 2

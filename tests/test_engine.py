@@ -211,6 +211,15 @@ class TestCompareStrategies:
         expected = sum((n - 1) * f // (n + 1) for n in (5, 6))
         assert results["cyclic"].cumulative_waste == expected
 
+    def test_join_with_active_label_aborts_every_strategy(self):
+        trace = ElasticTrace(5, 2, 20, events=(ElasticEvent.join(3),), n_max=6)
+        with pytest.raises(EtallocError, match="machine 3 is already active"):
+            run_trace(trace)
+        results = compare_strategies(trace)
+        for report in results.values():
+            assert "machine 3 is already active" in report.aborted
+            assert not report.records
+
     def test_infeasible_events_are_recorded_not_thrown(self):
         trace = ElasticTrace(initial_machines=4, redundancy=2, n_tasks=12,
                              seed_allocation=doubled_block_tas(4, 12),

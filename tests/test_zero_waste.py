@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from etalloc import (
     DeltaMatching,
@@ -17,6 +18,7 @@ from etalloc import (
     find_delta_matching,
     hall_feasible_all_leavers,
     hall_feasible_for_leaver,
+    projective_plane,
     random_tas,
     tas_from_configuration,
     transition_waste,
@@ -25,6 +27,12 @@ from etalloc import (
     zero_waste_leave,
 )
 from etalloc.checks import doubled_block_tas, perturbed
+
+from oracles import (
+    best_effort_leave_cold,
+    find_delta_matching_per_task,
+    hall_feasible_all_leavers_enumerated,
+)
 
 FIG1A = cyclic_tas(5, 3, 20)
 DOUBLED = doubled_block_tas(4, 12)
@@ -124,6 +132,11 @@ class TestHallAllLeavers:
         delta = 2 * 12 // (4 * 3)
         assert len(common) > (4 - len(result.witness)) * delta
 
+    def test_projective_q7_certificate(self):
+        # N=57, L=8: the full C(57, 2..8) enumeration does not finish in minutes
+        alloc = tas_from_configuration(projective_plane(7), 399)
+        assert hall_feasible_all_leavers(alloc).feasible
+
     def test_singletons_meet_the_bound_with_equality(self):
         n, l, f = 5, 3, 20
         alloc = cyclic_tas(n, l, f)
@@ -209,6 +222,60 @@ class TestMatcherOracleEquivalence:
                 infeasible += not oracle
             assert hall_feasible_all_leavers(alloc).feasible == all(verdicts)
         assert feasible and infeasible
+
+
+RANDOM_SHAPES = ((4, 2, 12), (5, 2, 20), (5, 3, 20), (6, 3, 30), (6, 4, 30),
+                 (7, 3, 42), (7, 6, 42))
+DOUBLED_SHAPES = ((4, 12), (5, 20), (6, 30), (7, 42))
+
+
+@st.composite
+def pools(draw):
+    """Seeded random or doubled-block pools under shuffled labels, perhaps perturbed.
+
+    The labels are shuffled so that witnesses are not always the block's (1, 2).
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        alloc = random_tas(*draw(st.sampled_from(RANDOM_SHAPES)), rng)
+    else:
+        alloc = doubled_block_tas(*draw(st.sampled_from(DOUBLED_SHAPES)))
+    labels = rng.sample(range(1, 3 * alloc.n_machines), alloc.n_machines)
+    alloc = TaskAllocation.from_sets(alloc.sets_in_order(), alloc.redundancy,
+                                     alloc.n_tasks, machine_ids=labels)
+    swaps = draw(st.integers(0, 8))
+    return perturbed(alloc, rng, swaps) if swaps else alloc
+
+
+ORACLE_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
+                           database=None)
+
+
+class TestClassSolversMatchOracles:
+    @ORACLE_SETTINGS
+    @given(pools())
+    def test_delta_matching_verdicts_and_validity(self, alloc):
+        for leaver in alloc.machine_ids:
+            graph = build_transition_graph(alloc, leaver)
+            matching = find_delta_matching(graph)
+            oracle = find_delta_matching_per_task(graph)
+            assert (matching is None) == (oracle is None)
+            assert (matching is not None) == hall_feasible_for_leaver(alloc, leaver).feasible
+            if matching is not None:
+                matching.check(graph)
+
+    @ORACLE_SETTINGS
+    @given(pools())
+    def test_all_leavers_certificate_gives_the_oracle_witness(self, alloc):
+        assert hall_feasible_all_leavers(alloc) == hall_feasible_all_leavers_enumerated(alloc)
+
+    @ORACLE_SETTINGS
+    @given(pools(), st.data())
+    def test_warm_started_fallback_reaches_the_minimum(self, alloc, data):
+        leaver = data.draw(st.sampled_from(alloc.machine_ids))
+        outcome = best_effort_leave(alloc, leaver)
+        assert validate_tas(outcome.new_alloc).ok
+        assert outcome.total_waste == best_effort_leave_cold(alloc, leaver).total_waste
 
 
 class TestBestEffortLeave:
