@@ -47,8 +47,6 @@ from .engine import (
 )
 from .coded import encode_job, execute_round, load_matrix
 from .zero_waste import (
-    build_transition_graph,
-    find_delta_matching,
     infeasible_leave_error,
     zero_waste_join,
     zero_waste_leave,
@@ -121,12 +119,22 @@ def _cmd_generate(args) -> int:
 
 
 def _detect_shift(alloc) -> int | None:
-    for shift in range(alloc.n_tasks):
-        candidate = cyc.cyclic_allocation(alloc.machine_ids, alloc.redundancy,
-                                          alloc.n_tasks, shift)
-        if candidate.task_sets == alloc.task_sets:
-            return shift
-    return None
+    """The shift of a shifted cyclic allocation, or None if it is not one.
+
+    The first machine's interval starts at the shift: the one task whose
+    predecessor mod F it does not hold (shift 0 when the set is full).  One
+    rebuild at that shift confirms the whole allocation.
+    """
+    f = alloc.n_tasks
+    first = alloc.task_sets[alloc.machine_ids[0]]
+    if len(first) == f:
+        shift = 0
+    else:
+        shift = next((t for t in first if (t - 1) % f not in first), None)
+        if shift is None:
+            return None
+    candidate = cyc.cyclic_allocation(alloc.machine_ids, alloc.redundancy, f, shift)
+    return shift if candidate.task_sets == alloc.task_sets else None
 
 
 def _cmd_transition(args) -> int:
@@ -160,15 +168,15 @@ def _cmd_transition(args) -> int:
         shift_note = f", shift {params.shift}"
     elif strategy == "zero_waste":
         if leaving:
-            result = zero_waste_leave(alloc, args.leave)
-            if result is None:
+            outcome = zero_waste_leave(alloc, args.leave)
+            if outcome is None:
                 raise infeasible_leave_error(
                     alloc, args.leave, f"no zero-waste transition for leaver {args.leave}")
-            matching = find_delta_matching(build_transition_graph(alloc, args.leave))
+            old_sets, new_sets = alloc.task_sets, outcome.new_alloc.task_sets
+            assignment = {t: m for m in outcome.per_machine_waste
+                          for t in new_sets[m] - old_sets[m]}
             print("matching: " + json.dumps(
-                {str(t): m for t, m in sorted(matching.assignment.items())}),
-                file=sys.stderr)
-            outcome = result
+                {str(t): m for t, m in sorted(assignment.items())}), file=sys.stderr)
         else:
             outcome = zero_waste_join(alloc, args.join or max(alloc.machine_ids) + 1)
         new_alloc = outcome.new_alloc

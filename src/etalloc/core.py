@@ -10,9 +10,12 @@ immutable values.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -81,8 +84,11 @@ def mod_interval(start: int, end: int, modulus: int) -> frozenset[int]:
         raise ValueError(f"modulus must be positive, got {modulus}")
     if end < start - 1:
         raise ValueError(f"empty-or-negative interval [{start}, {end}]")
-    count = min(end - start + 1, modulus)
-    return frozenset((start + i) % modulus for i in range(count))
+    first = start % modulus
+    stop = first + min(end - start + 1, modulus)
+    if stop <= modulus:
+        return frozenset(range(first, stop))
+    return frozenset(range(first, modulus)).union(range(stop - modulus))
 
 
 @dataclass(frozen=True)
@@ -92,17 +98,51 @@ class TaskAllocation:
     ``machine_ids`` carries the allocation order: position ``i`` (1-based
     ``i+1``) is what the cyclic constructions index machines by.  Labels are
     global and survive departures; positions are recomputed per allocation.
-    Construction only enforces well-formedness; the TAS axioms themselves are
-    checked by :func:`validate_tas`.
+    Construction normalises every task set to a frozenset of Python ints and
+    stores ``task_sets`` as a read-only mapping, so an allocation never
+    changes after it is built; the TAS axioms themselves are checked by
+    :func:`validate_tas`.
     """
 
     n_machines: int
     redundancy: int
     n_tasks: int
     machine_ids: tuple[int, ...]
-    task_sets: dict[int, frozenset[int]] = field(repr=False)
+    task_sets: Mapping[int, frozenset[int]] = field(repr=False)
+
+    # Set per instance by require_valid once validate_tas has passed.
+    _validated = False
 
     def __post_init__(self):
+        self._check_shape()
+        sets = {}
+        for m in self.machine_ids:
+            try:
+                sets[m] = frozenset(map(operator.index, self.task_sets[m]))
+            except TypeError as exc:
+                raise ValueError(f"machine {m} holds a non-integer task index: {exc}") from None
+        object.__setattr__(self, "task_sets", MappingProxyType(sets))
+        self._check_ranges()
+
+    @classmethod
+    def _derived(cls, redundancy: int, n_tasks: int, machine_ids: Sequence[int],
+                 task_sets: Mapping[int, frozenset[int]]) -> "TaskAllocation":
+        """Build an allocation from sets this package made: frozensets of Python ints.
+
+        Skips the per-element normalisation of the public constructor but
+        keeps its shape checks and a min/max range check per set.
+        """
+        alloc = object.__new__(cls)
+        ids = tuple(machine_ids)
+        alloc.__dict__.update(n_machines=len(ids), redundancy=redundancy, n_tasks=n_tasks,
+                              machine_ids=ids, task_sets=task_sets)
+        alloc._check_shape()
+        object.__setattr__(alloc, "task_sets",
+                           MappingProxyType({m: task_sets[m] for m in ids}))
+        alloc._check_ranges()
+        return alloc
+
+    def _check_shape(self) -> None:
         if self.n_machines != len(self.machine_ids):
             raise ValueError(
                 f"n_machines={self.n_machines} but {len(self.machine_ids)} machine ids given")
@@ -112,13 +152,18 @@ class TaskAllocation:
             raise ValueError("task_sets keys must match machine_ids")
         if self.redundancy <= 0 or self.n_tasks <= 0 or self.n_machines <= 0:
             raise ValueError("n_machines, redundancy and n_tasks must be positive")
-        object.__setattr__(
-            self, "task_sets",
-            {m: frozenset(int(t) for t in self.task_sets[m]) for m in self.machine_ids})
+
+    def _check_ranges(self) -> None:
+        f = self.n_tasks
         for m, tasks in self.task_sets.items():
-            bad = [t for t in tasks if not 0 <= t < self.n_tasks]
-            if bad:
-                raise ValueError(f"machine {m} holds out-of-range task indices {sorted(bad)}")
+            if tasks and (min(tasks) < 0 or max(tasks) >= f):
+                bad = sorted(t for t in tasks if not 0 <= t < f)
+                raise ValueError(f"machine {m} holds out-of-range task indices {bad}")
+
+    def __reduce__(self):
+        # A read-only mapping cannot be pickled; rebuild through the constructor.
+        return (type(self), (self.n_machines, self.redundancy, self.n_tasks,
+                             self.machine_ids, dict(self.task_sets)))
 
     @classmethod
     def from_sets(cls, sets: Sequence[Iterable[int]], redundancy: int, n_tasks: int,
@@ -130,7 +175,7 @@ class TaskAllocation:
             redundancy=redundancy,
             n_tasks=n_tasks,
             machine_ids=ids,
-            task_sets={m: frozenset(s) for m, s in zip(ids, sets)},
+            task_sets=dict(zip(ids, sets)),
         )
 
     def task_set(self, machine: int) -> frozenset[int]:
@@ -219,18 +264,24 @@ def validate_tas(alloc: TaskAllocation) -> ValidationReport:
             if size != load:
                 violations.append(
                     f"load balancing: machine {m} holds {size} tasks, expected {load}")
-    coverage = [0] * f
-    for m in alloc.machine_ids:
-        for t in alloc.task_sets[m]:
-            coverage[t] += 1
-    for t, c in enumerate(coverage):
-        if c != l:
-            violations.append(f"redundancy: task {t} covered by {c} machines, expected {l}")
+    sets = [alloc.task_sets[m] for m in alloc.machine_ids]
+    incidences = np.fromiter(itertools.chain.from_iterable(sets), dtype=np.intp,
+                             count=sum(map(len, sets)))
+    coverage = np.bincount(incidences, minlength=f)
+    for t in np.flatnonzero(coverage != l).tolist():
+        violations.append(
+            f"redundancy: task {t} covered by {int(coverage[t])} machines, expected {l}")
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
 def require_valid(alloc: TaskAllocation, context: str = "allocation") -> None:
-    """Raise :class:`AllocationError` unless ``alloc`` passes :func:`validate_tas`."""
+    """Raise :class:`AllocationError` unless ``alloc`` passes :func:`validate_tas`.
+
+    An allocation is immutable, so a passing verdict is remembered on it and
+    each allocation is validated at most once.
+    """
+    if alloc._validated:
+        return
     report = validate_tas(alloc)
     if not report.ok:
         raise AllocationError(
@@ -238,6 +289,7 @@ def require_valid(alloc: TaskAllocation, context: str = "allocation") -> None:
             f"{alloc.n_tasks}) TAS: {report.violations[0]}"
             + (f" (+{len(report.violations) - 1} more)" if len(report.violations) > 1 else ""),
             report.violations)
+    object.__setattr__(alloc, "_validated", True)
 
 
 def incidence_matrix(alloc: TaskAllocation) -> np.ndarray:
@@ -335,14 +387,18 @@ def tas_to_document(alloc: TaskAllocation) -> dict:
 
 
 def tas_from_document(doc: Mapping) -> TaskAllocation:
+    """Inverse of :func:`tas_to_document`; task lists must hold integers."""
     machines = doc["machines"]
+    for entry in machines:
+        if not isinstance(entry["tasks"], list):
+            raise ValueError(f"machine {entry['id']}: tasks must be a list, "
+                             f"got {type(entry['tasks']).__name__}")
     return TaskAllocation(
         n_machines=int(doc["n_machines"]),
         redundancy=int(doc["redundancy"]),
         n_tasks=int(doc["n_tasks"]),
         machine_ids=tuple(int(entry["id"]) for entry in machines),
-        task_sets={int(entry["id"]): frozenset(int(t) for t in entry["tasks"])
-                   for entry in machines},
+        task_sets={int(entry["id"]): entry["tasks"] for entry in machines},
     )
 
 

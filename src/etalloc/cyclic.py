@@ -88,9 +88,7 @@ def cyclic_allocation(labels: Sequence[int], redundancy: int, n_tasks: int,
     for pos, label in enumerate(labels):
         start = pos * n_tasks // n + shift
         sets[label] = mod_interval(start, start + size - 1, n_tasks)
-    return TaskAllocation(
-        n_machines=n, redundancy=redundancy, n_tasks=n_tasks,
-        machine_ids=tuple(labels), task_sets=sets)
+    return TaskAllocation._derived(redundancy, n_tasks, labels, sets)
 
 
 def cyclic_tas(n_machines: int, redundancy: int, n_tasks: int) -> TaskAllocation:

@@ -19,6 +19,7 @@ from .core import (
     ElasticEvent,
     EtallocError,
     TaskAllocation,
+    TransitionOutcome,
     require_valid,
     tas_from_document,
     tas_to_document,
@@ -189,20 +190,25 @@ class TraceRunner:
             "zero_waste": self._step_zero_waste,
             "zero_waste_with_fallback": self._step_zero_waste,
         }[self.strategy]
-        record, new_alloc = handler(index, event)
-        for m in alloc.machine_ids:
-            if m in new_alloc.task_sets:
-                old_set, new_set = alloc.task_sets[m], new_alloc.task_sets[m]
-                stats = self._stats.setdefault(m, [0, 0])
-                stats[0] += len(old_set - new_set)
-                stats[1] += len(new_set - old_set)
+        record, outcome = handler(index, event)
+        new_alloc = outcome.new_alloc
+        # A machine's waste plus the load change is |S ^ S'| = abandoned + acquired,
+        # and |S'| - |S| = acquired - abandoned.
+        delta = outcome.necessary_load_change
+        for m, waste in outcome.per_machine_waste.items():
+            moved = waste + delta
+            grew = len(new_alloc.task_sets[m]) - len(alloc.task_sets[m])
+            stats = self._stats.setdefault(m, [0, 0])
+            stats[0] += (moved - grew) // 2
+            stats[1] += (moved + grew) // 2
         for m in new_alloc.machine_ids:
             self._stats.setdefault(m, [0, 0])
         self.allocation = new_alloc
         self._records.append(record)
         return record
 
-    def _step_cyclic(self, index: int, event: ElasticEvent) -> tuple[EventRecord, TaskAllocation]:
+    def _step_cyclic(self, index: int,
+                     event: ElasticEvent) -> tuple[EventRecord, TransitionOutcome]:
         alloc, l, f = self.allocation, self.trace.redundancy, self.trace.n_tasks
         if event.kind == "leave":
             labels = [m for m in alloc.machine_ids if m != event.machine]
@@ -213,9 +219,10 @@ class TraceRunner:
         new_alloc = cyc.cyclic_allocation(labels, l, f)
         outcome = transition_waste(alloc, new_alloc)
         return EventRecord(index, event.kind, machine, outcome.total_waste,
-                           outcome.necessary_load_change, feasible=True), new_alloc
+                           outcome.necessary_load_change, feasible=True), outcome
 
-    def _step_shifted(self, index: int, event: ElasticEvent) -> tuple[EventRecord, TaskAllocation]:
+    def _step_shifted(self, index: int,
+                      event: ElasticEvent) -> tuple[EventRecord, TransitionOutcome]:
         alloc, l, f = self.allocation, self.trace.redundancy, self.trace.n_tasks
         n = alloc.n_machines
         if event.kind == "leave":
@@ -240,9 +247,10 @@ class TraceRunner:
         self.shift = new_shift
         return EventRecord(index, event.kind, machine, outcome.total_waste,
                            outcome.necessary_load_change, feasible=True,
-                           shift=new_shift), new_alloc
+                           shift=new_shift), outcome
 
-    def _step_zero_waste(self, index: int, event: ElasticEvent) -> tuple[EventRecord, TaskAllocation]:
+    def _step_zero_waste(self, index: int,
+                         event: ElasticEvent) -> tuple[EventRecord, TransitionOutcome]:
         alloc = self.allocation
         if event.kind == "leave":
             machine = event.machine
@@ -257,19 +265,19 @@ class TraceRunner:
                 self._history.append((alloc, machine))
                 return EventRecord(index, "leave", machine, outcome.total_waste,
                                    outcome.necessary_load_change, feasible=False,
-                                   degraded=True), outcome.new_alloc
+                                   degraded=True), outcome
             self._history.append((alloc, machine))
             return EventRecord(index, "leave", machine, outcome.total_waste,
-                               outcome.necessary_load_change, feasible=True), outcome.new_alloc
+                               outcome.necessary_load_change, feasible=True), outcome
         if self._history:
             parent, departed = self._history.pop()
             outcome = transition_waste(alloc, parent)
             return EventRecord(index, "join", departed, outcome.total_waste,
-                               outcome.necessary_load_change, feasible=True), parent
+                               outcome.necessary_load_change, feasible=True), outcome
         machine = event.machine if event.machine is not None else self._assign_label()
         outcome = zero_waste_join(alloc, machine)
         return EventRecord(index, "join", machine, outcome.total_waste,
-                           outcome.necessary_load_change, feasible=True), outcome.new_alloc
+                           outcome.necessary_load_change, feasible=True), outcome
 
     def report(self) -> SimulationReport:
         records = self.records

@@ -114,9 +114,7 @@ def zero_waste_join(alloc: TaskAllocation, new_machine: int) -> TransitionOutcom
         donated.update(gift)
         new_sets[m] = alloc.task_sets[m] - set(gift)
     new_sets[new_machine] = frozenset(donated)
-    new_alloc = TaskAllocation(
-        n_machines=n + 1, redundancy=l, n_tasks=f,
-        machine_ids=alloc.machine_ids + (new_machine,), task_sets=new_sets)
+    new_alloc = TaskAllocation._derived(l, f, alloc.machine_ids + (new_machine,), new_sets)
     outcome = transition_waste(alloc, new_alloc)
     assert outcome.total_waste == 0
     return outcome
@@ -336,12 +334,9 @@ def zero_waste_leave(alloc: TaskAllocation, leaver: int) -> TransitionOutcome | 
     extra: dict[int, set[int]] = {u: set() for u in graph.left}
     for task, machine in matching.assignment.items():
         extra[machine].add(task)
-    new_alloc = TaskAllocation(
-        n_machines=alloc.n_machines - 1,
-        redundancy=alloc.redundancy,
-        n_tasks=alloc.n_tasks,
-        machine_ids=tuple(m for m in alloc.machine_ids if m != leaver),
-        task_sets={u: alloc.task_sets[u] | extra[u] for u in graph.left})
+    new_alloc = TaskAllocation._derived(
+        alloc.redundancy, alloc.n_tasks, graph.left,
+        {u: alloc.task_sets[u] | extra[u] for u in graph.left})
     outcome = transition_waste(alloc, new_alloc, leaver=leaver)
     assert outcome.total_waste == 0
     return outcome
@@ -464,10 +459,8 @@ def best_effort_leave(alloc: TaskAllocation, leaver: int) -> TransitionOutcome:
     for idx, (t, m) in edge_of.items():
         if net.cap[idx] == 0:
             new_sets[m].add(t)
-    new_alloc = TaskAllocation(
-        n_machines=n - 1, redundancy=l, n_tasks=f,
-        machine_ids=survivors,
-        task_sets={m: frozenset(s) for m, s in new_sets.items()})
+    new_alloc = TaskAllocation._derived(
+        l, f, survivors, {m: frozenset(s) for m, s in new_sets.items()})
     return transition_waste(alloc, new_alloc, leaver=leaver)
 
 

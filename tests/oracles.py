@@ -1,9 +1,10 @@
-"""Per-task reference solvers that the holder-class solvers are tested against.
+"""Slow reference versions that the package's fast paths are tested against.
 
-Each function here is the direct formulation the package's solver refines:
-one flow node per task, every machine subset enumerated, and a min-cost flow
-that routes all L*F units from an empty flow.  They are slow on purpose and
-live only in the tests.
+Each function here is the direct formulation the package's code refines:
+one flow node per task, every machine subset enumerated, a min-cost flow
+that routes all L*F units from an empty flow, a per-element coverage tally
+and a per-element modular interval.  They are slow on purpose and live only
+in the tests.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from etalloc import (
     TaskAllocation,
     TransitionGraph,
     TransitionOutcome,
+    ValidationReport,
     transition_waste,
     validate_tas,
 )
@@ -90,3 +92,41 @@ def best_effort_leave_cold(alloc: TaskAllocation, leaver: int) -> TransitionOutc
     new_alloc = TaskAllocation(n_machines=n - 1, redundancy=l, n_tasks=f,
                                machine_ids=survivors, task_sets=new_sets)
     return transition_waste(alloc, new_alloc, leaver=leaver)
+
+
+def mod_interval_per_element(start: int, end: int, modulus: int) -> frozenset[int]:
+    """{start, ..., end} reduced mod ``modulus`` one element at a time, capped at F."""
+    if modulus <= 0:
+        raise ValueError(f"modulus must be positive, got {modulus}")
+    if end < start - 1:
+        raise ValueError(f"empty-or-negative interval [{start}, {end}]")
+    count = min(end - start + 1, modulus)
+    return frozenset((start + i) % modulus for i in range(count))
+
+
+def validate_tas_per_element(alloc: TaskAllocation) -> ValidationReport:
+    """The TAS axioms with the coverage tallied task by task in a Python list."""
+    n, l, f = alloc.n_machines, alloc.redundancy, alloc.n_tasks
+    violations: list[str] = []
+    if not l <= n:
+        violations.append(f"parameters: redundancy {l} exceeds machine count {n}")
+    if not n <= l * f:
+        violations.append(f"parameters: machine count {n} exceeds redundancy*tasks {l * f}")
+    if (l * f) % n != 0:
+        violations.append(
+            f"parameters: machine count {n} does not divide redundancy*tasks {l * f}")
+    else:
+        load = l * f // n
+        for m in alloc.machine_ids:
+            size = len(alloc.task_sets[m])
+            if size != load:
+                violations.append(
+                    f"load balancing: machine {m} holds {size} tasks, expected {load}")
+    coverage = [0] * f
+    for m in alloc.machine_ids:
+        for t in alloc.task_sets[m]:
+            coverage[t] += 1
+    for t, c in enumerate(coverage):
+        if c != l:
+            violations.append(f"redundancy: task {t} covered by {c} machines, expected {l}")
+    return ValidationReport(ok=not violations, violations=tuple(violations))

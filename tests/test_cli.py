@@ -1,10 +1,12 @@
 """Command-line surface: round trips, exit codes, and output formats."""
 
 import json
+import random
 
 import pytest
 
 from etalloc import (
+    TaskAllocation,
     configuration_from_json,
     tas_from_configuration,
     tas_from_json,
@@ -17,10 +19,14 @@ from etalloc import (
     validate_tas,
     ElasticEvent,
     ElasticTrace,
+    build_transition_graph,
+    cyclic_allocation,
+    find_delta_matching,
+    tas_to_document,
     tas_to_json,
 )
-from etalloc.checks import doubled_block_tas
-from etalloc.cli import main
+from etalloc.checks import doubled_block_tas, perturbed
+from etalloc.cli import _detect_shift, main
 
 
 def run(argv, capsys):
@@ -129,6 +135,66 @@ class TestTransition:
         code, _, err = run(["transition", "--tas", str(bad), "--leave", "1",
                             "--strategy", "zero_waste"], capsys)
         assert code == 1 and "no witness computed above 20 machines" in err
+
+    def test_zero_waste_matching_line_is_the_delta_matching(self, tmp_path, capsys):
+        pool = tas_from_configuration(projective_plane(3), 312)
+        path = tmp_path / "projective.json"
+        path.write_text(tas_to_json(pool))
+        code, _, err = run(["transition", "--tas", str(path), "--leave", "4",
+                            "--strategy", "zero_waste", "--out", str(tmp_path / "n.json")],
+                           capsys)
+        matching = find_delta_matching(build_transition_graph(pool, 4))
+        expected = "matching: " + json.dumps(
+            {str(t): m for t, m in sorted(matching.assignment.items())})
+        assert code == 0 and err.splitlines()[0] == expected
+
+    def test_detected_shift_equals_given_shift(self):
+        rng = random.Random(17)
+        for _ in range(40):
+            n = rng.randint(1, 8)
+            l = rng.randint(1, n)
+            f = n * rng.randint(1, 12)
+            labels = rng.sample(range(1, 20), n)
+            shift = rng.randrange(-f, 2 * f)
+            alloc = cyclic_allocation(labels, l, f, shift)
+            assert _detect_shift(alloc) == (0 if l == n else shift % f)
+
+    def test_detection_rejects_non_cyclic_allocations(self):
+        assert _detect_shift(perturbed(cyclic_allocation(range(1, 7), 2, 30, 4),
+                                       random.Random(2), 3)) is None
+        sets = list(cyclic_allocation(range(1, 6), 3, 20, 5).sets_in_order())
+        sets[1], sets[2] = sets[2], sets[1]
+        assert _detect_shift(TaskAllocation.from_sets(sets, 3, 20)) is None
+
+    def test_shifted_leave_with_detected_or_given_shift(self, tmp_path, capsys):
+        path = tmp_path / "shifted.json"
+        path.write_text(tas_to_json(cyclic_allocation(range(1, 21), 3, 7980, 5000)))
+        outputs = []
+        for extra in ([], ["--delta-prev", "5000"]):
+            code, out, err = run(["transition", "--tas", str(path), "--leave", "3",
+                                  "--strategy", "shifted", *extra], capsys)
+            assert code == 0
+            outputs.append((out, err))
+        assert outputs[0] == outputs[1]
+
+    def test_non_shifted_input_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "fano.json"
+        path.write_text(tas_to_json(tas_from_configuration(fano_plane(), 14)))
+        code, _, err = run(["transition", "--tas", str(path), "--leave", "3",
+                            "--strategy", "shifted"], capsys)
+        assert code == 2 and "not a shifted cyclic allocation" in err
+
+    @pytest.mark.parametrize("tasks", [[0.7, *range(1, 10)], [0, 1.2, *range(2, 10)],
+                                       "0123456789"])
+    def test_non_integral_tasks_are_usage_errors(self, tasks, tmp_path, capsys):
+        # Read as int(t) or per character, each of these would be machine 1's {0..9}.
+        doc = tas_to_document(cyclic_allocation([1, 2], 1, 20))
+        doc["machines"][0]["tasks"] = tasks
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(["transition", "--tas", str(path), "--leave", "2",
+                            "--strategy", "cyclic"], capsys)
+        assert code == 2 and "error:" in err
 
     def test_unknown_machine_is_usage_error(self, fig1a, capsys):
         code, _, _ = run(["transition", "--tas", str(fig1a), "--leave", "9"], capsys)

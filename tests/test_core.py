@@ -1,9 +1,12 @@
 """Allocation validation, incidence matrices, and the waste metric."""
 
+import copy
+import pickle
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from etalloc import (
     AllocationError,
@@ -17,13 +20,21 @@ from etalloc import (
     mod_interval,
     necessary_load_change,
     padded_task_count,
+    random_tas,
     tas_from_configuration,
+    tas_from_document,
     tas_from_json,
     tas_to_document,
     tas_to_json,
     transition_waste,
     validate_tas,
 )
+from etalloc.checks import perturbed
+
+from oracles import mod_interval_per_element, validate_tas_per_element
+
+ORACLE_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
+                           database=None)
 
 EXAMPLE_326 = TaskAllocation.from_sets(
     [{0, 1, 2, 3}, {2, 3, 4, 5}, {4, 5, 0, 1}], redundancy=2, n_tasks=6)
@@ -50,6 +61,13 @@ class TestModInterval:
     def test_bad_modulus(self):
         with pytest.raises(ValueError):
             mod_interval(0, 1, 0)
+
+    @ORACLE_SETTINGS
+    @given(st.integers(-200, 200), st.integers(1, 40), st.data())
+    def test_matches_per_element_oracle(self, start, modulus, data):
+        end = data.draw(st.integers(start - 1, start + 2 * modulus))
+        assert mod_interval(start, end, modulus) == mod_interval_per_element(
+            start, end, modulus)
 
 
 class TestValidate:
@@ -89,6 +107,67 @@ class TestValidate:
         with pytest.raises(ValueError):
             TaskAllocation(n_machines=2, redundancy=1, n_tasks=2,
                            machine_ids=(1, 1), task_sets={1: frozenset({0})})
+
+
+@st.composite
+def corrupted_pools(draw):
+    """A seeded random allocation, left valid, perturbed, or broken in one place."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 7))
+    l = draw(st.integers(1, n))
+    alloc = random_tas(n, l, n * draw(st.integers(1, 4)), rng)
+    sets = {m: set(alloc.task_sets[m]) for m in alloc.machine_ids}
+    victim = rng.choice(alloc.machine_ids)
+    kind = draw(st.sampled_from(["valid", "perturbed", "drop", "duplicate", "redundancy"]))
+    if kind == "perturbed":
+        return perturbed(alloc, rng, draw(st.integers(1, 8)))
+    if kind == "drop":
+        sets[victim].discard(rng.choice(sorted(sets[victim])))
+    elif kind == "duplicate":
+        missing = sorted(set(range(alloc.n_tasks)) - sets[victim])
+        sets[victim].add(rng.choice(missing) if missing else 0)
+    redundancy = alloc.redundancy + (kind == "redundancy")
+    return TaskAllocation(alloc.n_machines, redundancy, alloc.n_tasks,
+                          alloc.machine_ids, sets)
+
+
+class TestValidateMatchesOracle:
+    @ORACLE_SETTINGS
+    @given(corrupted_pools())
+    def test_identical_reports(self, alloc):
+        assert validate_tas(alloc) == validate_tas_per_element(alloc)
+
+
+class TestBoundaryNormalisation:
+    def test_non_integer_task_indices_are_rejected(self):
+        with pytest.raises(ValueError, match="non-integer"):
+            TaskAllocation.from_sets([{0.9, 1.5}, {0, 1}], 2, 2)
+        with pytest.raises(ValueError, match="non-integer"):
+            TaskAllocation.from_sets(["01", "01"], 2, 2)
+
+    def test_numpy_integers_become_python_ints(self):
+        alloc = TaskAllocation.from_sets([np.arange(2), np.array([0, 1])], 2, 2)
+        assert all(type(t) is int for m in alloc.machine_ids for t in alloc.task_sets[m])
+        assert alloc == TaskAllocation.from_sets([{0, 1}, {0, 1}], 2, 2)
+
+    @pytest.mark.parametrize("tasks", [[0.7], [1.2], "0123456789", 7])
+    def test_documents_need_integer_task_lists(self, tasks):
+        doc = tas_to_document(cyclic_tas(10, 1, 10))
+        doc["machines"][0]["tasks"] = tasks
+        with pytest.raises(ValueError):
+            tas_from_document(doc)
+
+    def test_task_sets_are_read_only(self):
+        alloc = cyclic_tas(4, 2, 8)
+        with pytest.raises(TypeError):
+            alloc.task_sets[1] = frozenset()
+        with pytest.raises(TypeError):
+            del alloc.task_sets[1]
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        alloc = cyclic_tas(5, 3, 20)
+        assert pickle.loads(pickle.dumps(alloc)) == alloc
+        assert copy.deepcopy(alloc) == alloc
 
 
 class TestIncidenceMatrix:

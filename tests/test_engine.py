@@ -26,7 +26,8 @@ from etalloc import (
     tree_navigate,
     validate_tas,
 )
-from etalloc.checks import doubled_block_tas
+from etalloc import core
+from etalloc.checks import doubled_block_tas, perturbed
 from etalloc.engine import report_rows, report_to_document
 
 FIG1_TRACE = ElasticTrace(initial_machines=5, redundancy=3, n_tasks=20,
@@ -154,6 +155,78 @@ class TestRunTrace:
             abandoned, acquired = report.machine_stats[m]
             assert abandoned == len(old.task_sets[m] - new.task_sets[m])
             assert acquired == len(new.task_sets[m] - old.task_sets[m])
+
+    @pytest.mark.parametrize("strategy,seed_allocation", [
+        ("cyclic", None), ("shifted_cyclic", None),
+        ("zero_waste", tas_from_configuration(fano_plane(), 420)),
+        ("zero_waste_with_fallback", perturbed(doubled_block_tas(6, 60), random.Random(4), 3)),
+    ])
+    def test_machine_stats_equal_set_differences_over_a_walk(self, strategy, seed_allocation):
+        pool = seed_allocation or cyclic_tas(6, 3, 420)
+        n0 = pool.n_machines
+        rng = random.Random(8)
+        runner = TraceRunner(ElasticTrace(initial_machines=n0, redundancy=pool.redundancy,
+                                          n_tasks=pool.n_tasks, strategy=strategy,
+                                          n_min=n0 - 2, n_max=n0,
+                                          seed_allocation=seed_allocation))
+        expected: dict[int, list[int]] = {}
+        for kind in ("leave", "leave", "join", "leave", "join", "join"):
+            old = runner.allocation
+            event = (ElasticEvent.leave(rng.choice(old.machine_ids)) if kind == "leave"
+                     else ElasticEvent.join())
+            runner.apply(event)
+            new = runner.allocation
+            for m in old.machine_ids:
+                if m in new.task_sets:
+                    tally = expected.setdefault(m, [0, 0])
+                    tally[0] += len(old.task_sets[m] - new.task_sets[m])
+                    tally[1] += len(new.task_sets[m] - old.task_sets[m])
+        stats = runner.report().machine_stats
+        for m, (abandoned, acquired) in expected.items():
+            assert stats[m] == (abandoned, acquired)
+
+
+class TestValidateOnce:
+    """Each allocation is validated once: when it is first built, never again."""
+
+    @pytest.fixture
+    def validated(self, monkeypatch):
+        calls = []
+        real = core.validate_tas
+
+        def counting(alloc):
+            calls.append(alloc)
+            return real(alloc)
+
+        monkeypatch.setattr(core, "validate_tas", counting)
+        return calls
+
+    def test_shifted_walk_validates_each_new_allocation_once(self, validated):
+        trace = ElasticTrace(initial_machines=20, redundancy=3, n_tasks=7980,
+                             strategy="shifted_cyclic", n_min=19, n_max=21, initial_shift=11)
+        runner = TraceRunner(trace)
+        built = [runner.allocation]
+        for event in (ElasticEvent.leave(4), ElasticEvent.join(), ElasticEvent.join(),
+                      ElasticEvent.leave(1), ElasticEvent.leave(21), ElasticEvent.join()):
+            runner.apply(event)
+            built.append(runner.allocation)
+        assert [id(a) for a in validated] == [id(a) for a in built]
+
+    def test_zero_waste_leaves_validate_once_and_join_backs_never(self, validated):
+        seed = tas_from_configuration(fano_plane(), 420)
+        runner = TraceRunner(ElasticTrace(initial_machines=7, redundancy=3, n_tasks=420,
+                                          strategy="zero_waste", n_min=5,
+                                          seed_allocation=seed))
+        assert [id(a) for a in validated] == [id(seed)]
+        runner.apply(ElasticEvent.leave(2))
+        first = runner.allocation
+        runner.apply(ElasticEvent.leave(6))
+        second = runner.allocation
+        assert [id(a) for a in validated] == [id(seed), id(first), id(second)]
+        runner.apply(ElasticEvent.join())
+        runner.apply(ElasticEvent.join())
+        assert runner.allocation is seed
+        assert len(validated) == 3
 
 
 class TestBoundsAndLabels:

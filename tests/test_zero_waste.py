@@ -13,6 +13,7 @@ from etalloc import (
     TransitionGraph,
     best_effort_leave,
     build_transition_graph,
+    cyclic_allocation,
     cyclic_tas,
     fano_plane,
     find_delta_matching,
@@ -276,6 +277,47 @@ class TestClassSolversMatchOracles:
         outcome = best_effort_leave(alloc, leaver)
         assert validate_tas(outcome.new_alloc).ok
         assert outcome.total_waste == best_effort_leave_cold(alloc, leaver).total_waste
+
+
+def rebuilt(alloc):
+    """The same allocation through the public, normalising constructor."""
+    return TaskAllocation(alloc.n_machines, alloc.redundancy, alloc.n_tasks,
+                          alloc.machine_ids, dict(alloc.task_sets))
+
+
+def assert_same_as_public(alloc):
+    assert alloc == rebuilt(alloc)
+    assert tuple(alloc.task_sets) == alloc.machine_ids
+    assert all(type(t) is int for m in alloc.machine_ids for t in alloc.task_sets[m])
+
+
+class TestDerivedAllocations:
+    """Producers build through the private constructor; the result must not differ."""
+
+    @ORACLE_SETTINGS
+    @given(st.integers(1, 7), st.data())
+    def test_cyclic_allocation(self, n, data):
+        l = data.draw(st.integers(1, n))
+        f = n * data.draw(st.integers(1, 6))
+        labels = data.draw(st.permutations(range(1, n + 3)))[:n]
+        shift = data.draw(st.integers(-2 * f, 2 * f))
+        assert_same_as_public(cyclic_allocation(labels, l, f, shift))
+
+    @ORACLE_SETTINGS
+    @given(pools(), st.data())
+    def test_zero_waste_and_fallback_leaves(self, alloc, data):
+        leaver = data.draw(st.sampled_from(alloc.machine_ids))
+        assert_same_as_public(best_effort_leave(alloc, leaver).new_alloc)
+        if (alloc.redundancy * alloc.n_tasks) % (alloc.n_machines * (alloc.n_machines - 1)):
+            return
+        outcome = zero_waste_leave(alloc, leaver)
+        if outcome is not None:
+            assert_same_as_public(outcome.new_alloc)
+
+    @pytest.mark.parametrize("alloc", [FIG1A, tas_from_configuration(fano_plane(), 56),
+                                       cyclic_allocation([4, 2, 9], 2, 12)])
+    def test_zero_waste_join(self, alloc):
+        assert_same_as_public(zero_waste_join(alloc, max(alloc.machine_ids) + 1).new_alloc)
 
 
 class TestBestEffortLeave:
