@@ -32,25 +32,22 @@ from .configurations import (
     zwr_task_count,
 )
 from .core import (
+    ElasticEvent,
     EtallocError,
     InfeasibleTransitionError,
     tas_from_json,
     tas_to_json,
-    transition_waste,
     validate_tas,
 )
 from .engine import (
+    ElasticTrace,
+    TraceRunner,
     report_rows,
     report_to_json,
     run_trace,
     trace_from_document,
 )
 from .coded import encode_job, execute_round, load_matrix
-from .zero_waste import (
-    infeasible_leave_error,
-    zero_waste_join,
-    zero_waste_leave,
-)
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
@@ -139,65 +136,39 @@ def _detect_shift(alloc) -> int | None:
 
 def _cmd_transition(args) -> int:
     alloc = tas_from_json(Path(args.tas).read_text())
-    strategy = {"shifted": "shifted_cyclic"}.get(args.strategy, args.strategy)
-    leaving = args.leave is not None
-    shift_note = ""
-    if leaving and args.leave not in alloc.task_sets:
-        print(f"machine {args.leave} is not active", file=sys.stderr)
-        return USAGE_ERROR
-    if strategy == "cyclic":
-        labels = ([m for m in alloc.machine_ids if m != args.leave] if leaving
-                  else list(alloc.machine_ids) + [args.join or max(alloc.machine_ids) + 1])
-        new_alloc = cyc.cyclic_allocation(labels, alloc.redundancy, alloc.n_tasks)
-        outcome = transition_waste(alloc, new_alloc)
-    elif strategy == "shifted_cyclic":
-        prev = args.delta_prev if args.delta_prev is not None else _detect_shift(alloc)
-        if prev is None:
+    shift = 0
+    if args.strategy == "shifted":
+        shift = args.delta_prev if args.delta_prev is not None else _detect_shift(alloc)
+        if shift is None:
             print("input is not a shifted cyclic allocation; pass --delta-prev",
                   file=sys.stderr)
             return USAGE_ERROR
-        n, l, f = alloc.n_machines, alloc.redundancy, alloc.n_tasks
-        if leaving:
-            params, _ = cyc.optimal_shift_leave(n, l, f, prev, alloc.position(args.leave))
-            labels = [m for m in alloc.machine_ids if m != args.leave]
-        else:
-            params, _ = cyc.optimal_shift_join(n, l, f, prev)
-            labels = list(alloc.machine_ids) + [args.join or max(alloc.machine_ids) + 1]
-        new_alloc = cyc.cyclic_allocation(labels, l, f, params.shift)
-        outcome = transition_waste(alloc, new_alloc)
-        shift_note = f", shift {params.shift}"
-    elif strategy == "zero_waste":
-        if leaving:
-            outcome = zero_waste_leave(alloc, args.leave)
-            if outcome is None:
-                raise infeasible_leave_error(
-                    alloc, args.leave, f"no zero-waste transition for leaver {args.leave}")
-            old_sets, new_sets = alloc.task_sets, outcome.new_alloc.task_sets
-            assignment = {t: m for m in outcome.per_machine_waste
-                          for t in new_sets[m] - old_sets[m]}
-            print("matching: " + json.dumps(
-                {str(t): m for t, m in sorted(assignment.items())}), file=sys.stderr)
-        else:
-            outcome = zero_waste_join(alloc, args.join or max(alloc.machine_ids) + 1)
-        new_alloc = outcome.new_alloc
-    else:
-        print(f"unknown strategy {args.strategy!r}", file=sys.stderr)
-        return USAGE_ERROR
+    event = (ElasticEvent.leave(args.leave) if args.leave is not None
+             else ElasticEvent.join(args.join or None))
+    runner = TraceRunner(ElasticTrace(
+        alloc.n_machines, alloc.redundancy, alloc.n_tasks, strategy=args.strategy,
+        events=(event,), seed_allocation=alloc, initial_shift=shift))
+    record = runner.apply(event)
+    new_alloc = runner.allocation
+    survivors = [m for m in new_alloc.machine_ids if m in alloc.task_sets]
+    if args.strategy == "zero_waste" and event.kind == "leave":
+        old_sets, new_sets = alloc.task_sets, new_alloc.task_sets
+        assignment = {t: m for m in survivors for t in new_sets[m] - old_sets[m]}
+        print("matching: " + json.dumps(
+            {str(t): m for t, m in sorted(assignment.items())}), file=sys.stderr)
     _emit(tas_to_json(new_alloc), _resolve(args.out))
-    per = " ".join(f"{m}:{w}" for m, w in sorted(outcome.per_machine_waste.items()))
-    print(f"total waste {outcome.total_waste}, load change "
-          f"{outcome.necessary_load_change}{shift_note}; per machine: {per}",
-          file=sys.stderr)
+    # Per machine, abandoned + acquired = |S ^ S'| = waste + load change.
+    stats = runner.report().machine_stats
+    per = " ".join(f"{m}:{sum(stats[m]) - record.load_change}" for m in sorted(survivors))
+    shift_note = f", shift {record.shift}" if record.shift is not None else ""
+    print(f"total waste {record.waste}, load change {record.load_change}{shift_note}; "
+          f"per machine: {per}", file=sys.stderr)
     return 0
 
 
 def _cmd_simulate(args) -> int:
     trace = trace_from_document(json.loads(Path(args.trace).read_text()))
-    try:
-        report = run_trace(trace, strategy=args.strategy)
-    except InfeasibleTransitionError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return CHECK_FAILURE
+    report = run_trace(trace, strategy=args.strategy)
     if args.format == "tabular":
         _emit("\n".join(report_rows(report)) + "\n", _resolve(args.out))
     else:

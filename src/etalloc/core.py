@@ -122,15 +122,19 @@ class TaskAllocation:
             except TypeError as exc:
                 raise ValueError(f"machine {m} holds a non-integer task index: {exc}") from None
         object.__setattr__(self, "task_sets", MappingProxyType(sets))
-        self._check_ranges()
+        for m, tasks in sets.items():
+            if tasks and (min(tasks) < 0 or max(tasks) >= self.n_tasks):
+                bad = sorted(t for t in tasks if not 0 <= t < self.n_tasks)
+                raise ValueError(f"machine {m} holds out-of-range task indices {bad}")
 
     @classmethod
     def _derived(cls, redundancy: int, n_tasks: int, machine_ids: Sequence[int],
                  task_sets: Mapping[int, frozenset[int]]) -> "TaskAllocation":
         """Build an allocation from sets this package made: frozensets of Python ints.
 
-        Skips the per-element normalisation of the public constructor but
-        keeps its shape checks and a min/max range check per set.
+        Skips the per-element normalisation and the range check of the public
+        constructor but keeps its shape checks; :func:`validate_tas` reports any
+        out-of-range index.
         """
         alloc = object.__new__(cls)
         ids = tuple(machine_ids)
@@ -139,7 +143,6 @@ class TaskAllocation:
         alloc._check_shape()
         object.__setattr__(alloc, "task_sets",
                            MappingProxyType({m: task_sets[m] for m in ids}))
-        alloc._check_ranges()
         return alloc
 
     def _check_shape(self) -> None:
@@ -152,13 +155,6 @@ class TaskAllocation:
             raise ValueError("task_sets keys must match machine_ids")
         if self.redundancy <= 0 or self.n_tasks <= 0 or self.n_machines <= 0:
             raise ValueError("n_machines, redundancy and n_tasks must be positive")
-
-    def _check_ranges(self) -> None:
-        f = self.n_tasks
-        for m, tasks in self.task_sets.items():
-            if tasks and (min(tasks) < 0 or max(tasks) >= f):
-                bad = sorted(t for t in tasks if not 0 <= t < f)
-                raise ValueError(f"machine {m} holds out-of-range task indices {bad}")
 
     def __reduce__(self):
         # A read-only mapping cannot be pickled; rebuild through the constructor.
@@ -246,7 +242,8 @@ def validate_tas(alloc: TaskAllocation) -> ValidationReport:
     Axioms: every task index appears in exactly ``redundancy`` task sets, and
     every machine holds exactly ``redundancy * n_tasks / n_machines`` tasks.
     Also reports L <= N <= L*F and N | L*F violations, which the axioms
-    implicitly require.
+    implicitly require, and task indices outside [0, F), which allocations
+    built by this package's producers are not checked for elsewhere.
     """
     n, l, f = alloc.n_machines, alloc.redundancy, alloc.n_tasks
     violations: list[str] = []
@@ -267,6 +264,13 @@ def validate_tas(alloc: TaskAllocation) -> ValidationReport:
     sets = [alloc.task_sets[m] for m in alloc.machine_ids]
     incidences = np.fromiter(itertools.chain.from_iterable(sets), dtype=np.intp,
                              count=sum(map(len, sets)))
+    out_of_range = (incidences < 0) | (incidences >= f)
+    if out_of_range.any():
+        for m, tasks in zip(alloc.machine_ids, sets):
+            bad = sorted(t for t in tasks if not 0 <= t < f)
+            if bad:
+                violations.append(f"range: machine {m} holds out-of-range task indices {bad}")
+        incidences = incidences[~out_of_range]
     coverage = np.bincount(incidences, minlength=f)
     for t in np.flatnonzero(coverage != l).tolist():
         violations.append(
@@ -386,19 +390,44 @@ def tas_to_document(alloc: TaskAllocation) -> dict:
     }
 
 
+_REQUIRED = object()
+
+
+def _field(doc, key: str, where: str, kind: type = object, default=_REQUIRED):
+    """``doc[key]`` converted by ``int`` or checked against ``kind``, else a
+    ValueError naming the field; an optional field takes ``default`` when
+    absent or null.  Documents are input from outside the program.
+    """
+    if not isinstance(doc, Mapping):
+        raise ValueError(f"{where} must be a JSON object, got {type(doc).__name__}")
+    if doc.get(key) is None and default is not _REQUIRED:
+        return default
+    if key not in doc:
+        raise ValueError(f"{where} has no {key!r} field")
+    value = doc[key]
+    if kind is int:
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            pass
+    elif isinstance(value, kind):
+        return value
+    raise ValueError(f"{where}: {key!r} must be {kind.__name__}, got {type(value).__name__}")
+
+
 def tas_from_document(doc: Mapping) -> TaskAllocation:
     """Inverse of :func:`tas_to_document`; task lists must hold integers."""
-    machines = doc["machines"]
-    for entry in machines:
-        if not isinstance(entry["tasks"], list):
-            raise ValueError(f"machine {entry['id']}: tasks must be a list, "
-                             f"got {type(entry['tasks']).__name__}")
+    ids, task_sets = [], {}
+    for i, entry in enumerate(_field(doc, "machines", "allocation", list)):
+        m = _field(entry, "id", f"machine entry {i}", int)
+        ids.append(m)
+        task_sets[m] = _field(entry, "tasks", f"machine {m}", list)
     return TaskAllocation(
-        n_machines=int(doc["n_machines"]),
-        redundancy=int(doc["redundancy"]),
-        n_tasks=int(doc["n_tasks"]),
-        machine_ids=tuple(int(entry["id"]) for entry in machines),
-        task_sets={int(entry["id"]): entry["tasks"] for entry in machines},
+        n_machines=_field(doc, "n_machines", "allocation", int),
+        redundancy=_field(doc, "redundancy", "allocation", int),
+        n_tasks=_field(doc, "n_tasks", "allocation", int),
+        machine_ids=tuple(ids),
+        task_sets=task_sets,
     )
 
 

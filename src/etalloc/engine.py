@@ -20,6 +20,7 @@ from .core import (
     EtallocError,
     TaskAllocation,
     TransitionOutcome,
+    _field,
     require_valid,
     tas_from_document,
     tas_to_document,
@@ -190,7 +191,7 @@ class TraceRunner:
             "zero_waste": self._step_zero_waste,
             "zero_waste_with_fallback": self._step_zero_waste,
         }[self.strategy]
-        record, outcome = handler(index, event)
+        machine, outcome, shift, degraded = handler(event)
         new_alloc = outcome.new_alloc
         # A machine's waste plus the load change is |S ^ S'| = abandoned + acquired,
         # and |S'| - |S| = acquired - abandoned.
@@ -203,12 +204,17 @@ class TraceRunner:
             stats[1] += (moved + grew) // 2
         for m in new_alloc.machine_ids:
             self._stats.setdefault(m, [0, 0])
+        record = EventRecord(index, event.kind, machine, outcome.total_waste, delta,
+                             feasible=not degraded, degraded=degraded, shift=shift)
         self.allocation = new_alloc
+        if shift is not None:
+            self.shift = shift
         self._records.append(record)
         return record
 
-    def _step_cyclic(self, index: int,
-                     event: ElasticEvent) -> tuple[EventRecord, TransitionOutcome]:
+    # Each step returns (machine, outcome, new shift or None, degraded).
+
+    def _step_cyclic(self, event: ElasticEvent) -> tuple[int, TransitionOutcome, None, bool]:
         alloc, l, f = self.allocation, self.trace.redundancy, self.trace.n_tasks
         if event.kind == "leave":
             labels = [m for m in alloc.machine_ids if m != event.machine]
@@ -217,12 +223,9 @@ class TraceRunner:
             machine = event.machine if event.machine is not None else self._assign_label()
             labels = list(alloc.machine_ids) + [machine]
         new_alloc = cyc.cyclic_allocation(labels, l, f)
-        outcome = transition_waste(alloc, new_alloc)
-        return EventRecord(index, event.kind, machine, outcome.total_waste,
-                           outcome.necessary_load_change, feasible=True), outcome
+        return machine, transition_waste(alloc, new_alloc), None, False
 
-    def _step_shifted(self, index: int,
-                      event: ElasticEvent) -> tuple[EventRecord, TransitionOutcome]:
+    def _step_shifted(self, event: ElasticEvent) -> tuple[int, TransitionOutcome, int, bool]:
         alloc, l, f = self.allocation, self.trace.redundancy, self.trace.n_tasks
         n = alloc.n_machines
         if event.kind == "leave":
@@ -243,41 +246,29 @@ class TraceRunner:
             else:
                 new_shift = self.shift
         new_alloc = cyc.cyclic_allocation(labels, l, f, new_shift)
-        outcome = transition_waste(alloc, new_alloc)
-        self.shift = new_shift
-        return EventRecord(index, event.kind, machine, outcome.total_waste,
-                           outcome.necessary_load_change, feasible=True,
-                           shift=new_shift), outcome
+        return machine, transition_waste(alloc, new_alloc), new_shift, False
 
-    def _step_zero_waste(self, index: int,
-                         event: ElasticEvent) -> tuple[EventRecord, TransitionOutcome]:
-        alloc = self.allocation
+    def _step_zero_waste(self, event: ElasticEvent) -> tuple[int, TransitionOutcome, None, bool]:
+        alloc, index = self.allocation, len(self._records)
         if event.kind == "leave":
             machine = event.machine
             outcome = zero_waste_leave(alloc, machine)
-            if outcome is None:
+            degraded = outcome is None
+            if degraded:
                 if self.strategy != "zero_waste_with_fallback":
                     raise infeasible_leave_error(
                         alloc, machine,
                         f"event {index}: no zero-waste transition when machine {machine} leaves",
                         event_index=index)
                 outcome = best_effort_leave(alloc, machine)
-                self._history.append((alloc, machine))
-                return EventRecord(index, "leave", machine, outcome.total_waste,
-                                   outcome.necessary_load_change, feasible=False,
-                                   degraded=True), outcome
             self._history.append((alloc, machine))
-            return EventRecord(index, "leave", machine, outcome.total_waste,
-                               outcome.necessary_load_change, feasible=True), outcome
+            return machine, outcome, None, degraded
         if self._history:
+            # A join-back reuses the departed label; it must not draw a fresh one.
             parent, departed = self._history.pop()
-            outcome = transition_waste(alloc, parent)
-            return EventRecord(index, "join", departed, outcome.total_waste,
-                               outcome.necessary_load_change, feasible=True), outcome
+            return departed, transition_waste(alloc, parent), None, False
         machine = event.machine if event.machine is not None else self._assign_label()
-        outcome = zero_waste_join(alloc, machine)
-        return EventRecord(index, "join", machine, outcome.total_waste,
-                           outcome.necessary_load_change, feasible=True), outcome
+        return machine, zero_waste_join(alloc, machine), None, False
 
     def report(self) -> SimulationReport:
         records = self.records
@@ -461,19 +452,24 @@ def trace_to_document(trace: ElasticTrace) -> dict:
 
 
 def trace_from_document(doc: Mapping) -> ElasticTrace:
-    initial = doc["initial"]
-    seed = initial.get("seed_tas")
+    initial = _field(doc, "initial", "trace", dict)
+    events = []
+    for i, e in enumerate(_field(doc, "events", "trace", list)):
+        where = f"trace event {i}"
+        events.append(ElasticEvent(_field(e, "kind", where),
+                                   _field(e, "machine", where, int, None)))
+    seed = _field(initial, "seed_tas", "trace initial", dict, None)
     return ElasticTrace(
-        initial_machines=int(initial["n0"]),
-        redundancy=int(initial["l"]),
-        n_tasks=int(initial["f"]),
-        strategy=initial.get("strategy", "cyclic"),
-        events=tuple(ElasticEvent(e["kind"], e.get("machine")) for e in doc["events"]),
-        n_max=initial.get("nmax"),
-        n_min=initial.get("nmin"),
+        initial_machines=_field(initial, "n0", "trace initial", int),
+        redundancy=_field(initial, "l", "trace initial", int),
+        n_tasks=_field(initial, "f", "trace initial", int),
+        strategy=_field(initial, "strategy", "trace initial", str, "cyclic"),
+        events=tuple(events),
+        n_max=_field(initial, "nmax", "trace initial", int, None),
+        n_min=_field(initial, "nmin", "trace initial", int, None),
         seed_allocation=tas_from_document(seed) if seed else None,
-        initial_shift=int(initial.get("shift", 0)),
-        label_policy=initial.get("label_policy", "fresh"))
+        initial_shift=_field(initial, "shift", "trace initial", int, 0),
+        label_policy=_field(initial, "label_policy", "trace initial", str, "fresh"))
 
 
 def report_to_document(report: SimulationReport) -> dict:

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from etalloc import (
+    EtallocError,
     TaskAllocation,
     configuration_from_json,
     tas_from_configuration,
@@ -22,8 +23,10 @@ from etalloc import (
     build_transition_graph,
     cyclic_allocation,
     find_delta_matching,
+    run_trace,
     tas_to_document,
     tas_to_json,
+    transition_waste,
 )
 from etalloc.checks import doubled_block_tas, perturbed
 from etalloc.cli import _detect_shift, main
@@ -196,6 +199,20 @@ class TestTransition:
                             "--strategy", "cyclic"], capsys)
         assert code == 2 and "error:" in err
 
+    @pytest.mark.parametrize("generate,event,shift", [
+        (["--n", "4", "--l", "3", "--f", "12", "--delta", "5"], ["--leave", "2"], 5),
+        (["--n", "3", "--l", "3", "--f", "12"], ["--join"], 0),
+    ])
+    def test_shifted_step_to_or_from_full_sets_keeps_the_shift(
+            self, generate, event, shift, tmp_path, capsys):
+        # With N-1 = L after a leave, or N = L before a join, one side's sets are
+        # full, so no shift is optimised and the move costs nothing.
+        path = tmp_path / "shifted.json"
+        run(["generate", "shifted", *generate, "--out", str(path)], capsys)
+        code, _, err = run(["transition", "--tas", str(path), *event,
+                            "--strategy", "shifted"], capsys)
+        assert code == 0 and "total waste 0" in err and f"shift {shift};" in err
+
     def test_unknown_machine_is_usage_error(self, fig1a, capsys):
         code, _, _ = run(["transition", "--tas", str(fig1a), "--leave", "9"], capsys)
         assert code == 2
@@ -206,6 +223,72 @@ class TestTransition:
                           "--strategy", "zero_waste", "--out", str(out)], capsys)
         assert code == 0
         assert tas_from_json(out.read_text()).n_machines == 6
+
+
+EQUIVALENCE_POOLS = {
+    "fig1": lambda: cyclic_allocation(range(1, 6), 3, 20),
+    "shifted": lambda: cyclic_allocation(range(1, 21), 3, 7980, 5000),
+    "projective": lambda: tas_from_configuration(projective_plane(3), 312),
+}
+
+
+@pytest.mark.parametrize("event", [ElasticEvent.leave(2), ElasticEvent.join()],
+                         ids=["leave", "join"])
+@pytest.mark.parametrize("strategy", ["cyclic", "shifted", "zero_waste"])
+@pytest.mark.parametrize("pool", sorted(EQUIVALENCE_POOLS))
+def test_transition_equals_one_event_trace(pool, strategy, event, tmp_path, capsys):
+    alloc = EQUIVALENCE_POOLS[pool]()
+    path, out = tmp_path / "pool.json", tmp_path / "next.json"
+    path.write_text(tas_to_json(alloc))
+    # A non-cyclic pool runs the shifted strategy from shift 0, as the engine would.
+    shift = _detect_shift(alloc)
+    extra = ["--delta-prev", "0"] if strategy == "shifted" and shift is None else []
+    move = ["--leave", str(event.machine)] if event.kind == "leave" else ["--join"]
+    code, _, err = run(["transition", "--tas", str(path), *move, "--strategy", strategy,
+                        "--out", str(out), *extra], capsys)
+    trace = ElasticTrace(alloc.n_machines, alloc.redundancy, alloc.n_tasks,
+                         strategy=strategy, events=(event,), seed_allocation=alloc,
+                         initial_shift=shift or 0)
+    try:
+        report = run_trace(trace)
+    except EtallocError as exc:  # a join the pool's task count does not allow
+        assert code == 2 and f"error: {exc}" in err
+        return
+    assert code == 0
+    assert tas_from_json(out.read_text()) == report.final
+    assert f"total waste {report.cumulative_waste}," in err
+    # The per-machine figures are derived from the runner's stats; measure them here.
+    per = transition_waste(alloc, report.final).per_machine_waste
+    assert err.endswith("per machine: " + " ".join(f"{m}:{w}" for m, w in sorted(per.items()))
+                        + "\n")
+
+
+MALFORMED_DOCUMENTS = [
+    ("transition", {"n_machines": 2, "redundancy": 1, "n_tasks": 2,
+                    "machines": [{"id": 1}, {"id": 2, "tasks": [1]}]}, "'tasks'"),
+    ("transition", {"n_machines": 2, "redundancy": 1,
+                    "machines": [{"id": 1, "tasks": [0]}, {"id": 2, "tasks": [1]}]},
+     "'n_tasks'"),
+    ("transition", [], "JSON object"),
+    ("simulate", {"initial": {"n0": 5, "l": 3, "f": 20}, "events": [{"machine": 5}]},
+     "'kind'"),
+    ("simulate", {"initial": {"n0": 5, "l": 3, "f": 20}}, "'events'"),
+    ("simulate", {"initial": {"n0": 5, "l": 3, "f": 20, "shift": [1]}, "events": []},
+     "'shift'"),
+]
+
+
+@pytest.mark.parametrize("command,doc,field", MALFORMED_DOCUMENTS,
+                         ids=["no-tasks", "no-n_tasks", "list", "no-kind", "no-events",
+                              "list-shift"])
+def test_malformed_documents_are_usage_errors(command, doc, field, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = (["transition", "--tas", str(path), "--leave", "2"] if command == "transition"
+            else ["simulate", "--trace", str(path)])
+    code, _, err = run(argv, capsys)
+    assert code == 2 and err.startswith("error:") and field in err
+    assert "Traceback" not in err
 
 
 class TestSimulate:

@@ -30,6 +30,7 @@ from etalloc import (
     validate_tas,
 )
 from etalloc.checks import perturbed
+from etalloc.core import require_valid
 
 from oracles import mod_interval_per_element, validate_tas_per_element
 
@@ -107,6 +108,19 @@ class TestValidate:
         with pytest.raises(ValueError):
             TaskAllocation(n_machines=2, redundancy=1, n_tasks=2,
                            machine_ids=(1, 1), task_sets={1: frozenset({0})})
+
+    @pytest.mark.parametrize("stray", [20, -1])
+    def test_out_of_range_derived_allocation_fails_validation(self, stray):
+        # The private constructor does not range-check; validation must.
+        sets = dict(cyclic_allocation(range(1, 6), 3, 20).task_sets)
+        dropped = min(sets[2])
+        sets[2] = sets[2] - {dropped} | {stray}
+        alloc = TaskAllocation._derived(3, 20, range(1, 6), sets)
+        with pytest.raises(AllocationError) as info:
+            require_valid(alloc)
+        assert info.value.violations == (
+            f"range: machine 2 holds out-of-range task indices [{stray}]",
+            f"redundancy: task {dropped} covered by 2 machines, expected 3")
 
 
 @st.composite

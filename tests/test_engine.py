@@ -254,6 +254,13 @@ class TestBoundsAndLabels:
         record = runner.apply(ElasticEvent.join())
         assert record.machine == 5
 
+    def test_zero_waste_join_back_draws_no_fresh_label(self):
+        trace = ElasticTrace(initial_machines=5, redundancy=3, n_tasks=20,
+                             strategy="zero_waste",
+                             events=(ElasticEvent.leave(5), ElasticEvent.join(),
+                                     ElasticEvent.join()))
+        assert [r.machine for r in run_trace(trace).records] == [5, 5, 6]
+
     def test_reused_labels_fill_gaps(self):
         trace = ElasticTrace(initial_machines=4, redundancy=2, n_tasks=60,
                              strategy="cyclic", label_policy="reuse")
