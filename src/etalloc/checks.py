@@ -36,6 +36,7 @@ from .zero_waste import (
     find_delta_matching,
     hall_feasible_all_leavers,
     hall_feasible_for_leaver,
+    infeasible_leave_error,
     random_tas,
     zero_waste_leave,
 )
@@ -206,16 +207,22 @@ def verify_hall(n_samples: int = 200, seed: int = 20240601) -> list[CheckResult]
         corpus.append(base)
         for swaps in (1, 2, 4, 8):
             corpus.append(perturbed(base, rng, swaps))
-    disagreements, all_leavers_bad = [], []
+    disagreements, all_leavers_bad, bad_witnesses = [], [], []
     feasible_count = infeasible_count = 0
     for i, alloc in enumerate(corpus):
         per_leaver = []
         for leaver in alloc.machine_ids:
             oracle = hall_feasible_for_leaver(alloc, leaver)
-            matched = find_delta_matching(build_transition_graph(alloc, leaver))
+            graph = build_transition_graph(alloc, leaver)
+            matched = find_delta_matching(graph)
             per_leaver.append(oracle.feasible)
             if oracle.feasible != (matched is not None):
                 disagreements.append((i, leaver))
+            if matched is None:
+                witness = infeasible_leave_error(alloc, leaver, "leave").witness
+                absorbable = frozenset().union(*(graph.neighbors[u] for u in witness))
+                if len(absorbable) >= graph.delta * len(witness):
+                    bad_witnesses.append((i, leaver))
             if oracle.feasible:
                 feasible_count += 1
             else:
@@ -233,6 +240,10 @@ def verify_hall(n_samples: int = 200, seed: int = 20240601) -> list[CheckResult]
             "all-leavers intersection bound agrees with the per-leaver conjunction",
             not all_leavers_bad,
             f"seed {seed}" + (f"; mismatches {all_leavers_bad}" if all_leavers_bad else "")),
+        CheckResult(
+            "every min-cut witness violates the counting condition",
+            not bad_witnesses,
+            f"seed {seed}" + (f"; bad witnesses {bad_witnesses}" if bad_witnesses else "")),
         CheckResult(
             "corpus exercises both feasible and infeasible leaves",
             feasible_count > 0 and infeasible_count > 0,

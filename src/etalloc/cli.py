@@ -138,9 +138,16 @@ def _cmd_transition(args) -> int:
     alloc = tas_from_json(Path(args.tas).read_text())
     shift = 0
     if args.strategy == "shifted":
-        shift = args.delta_prev if args.delta_prev is not None else _detect_shift(alloc)
+        detected = _detect_shift(alloc)
+        shift = args.delta_prev if args.delta_prev is not None else detected
         if shift is None:
             print("input is not a shifted cyclic allocation; pass --delta-prev",
+                  file=sys.stderr)
+            return USAGE_ERROR
+        # Full sets (N = L) look the same at every shift.
+        if (detected is not None and alloc.redundancy < alloc.n_machines
+                and (shift - detected) % alloc.n_tasks):
+            print(f"--delta-prev {shift} disagrees with the input's shift {detected}",
                   file=sys.stderr)
             return USAGE_ERROR
     event = (ElasticEvent.leave(args.leave) if args.leave is not None

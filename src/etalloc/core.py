@@ -61,8 +61,8 @@ class DivisibilityError(EtallocError, ValueError):
 class InfeasibleTransitionError(EtallocError):
     """A zero-waste transition was requested but none exists.
 
-    ``witness`` holds a set of machine labels violating the Hall-style
-    counting condition, when one was computed.
+    ``witness`` holds machine labels, ascending, violating the Hall-style
+    counting condition; every infeasible leave has one.
     """
 
     def __init__(self, message: str, witness: tuple[int, ...] | None = None,

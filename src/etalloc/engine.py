@@ -53,7 +53,7 @@ __all__ = [
 ]
 
 STRATEGIES = ("cyclic", "shifted_cyclic", "zero_waste", "zero_waste_with_fallback")
-_ALIASES = {"shifted": "shifted_cyclic", "zero_waste_fallback": "zero_waste_with_fallback"}
+_ALIASES = {"shifted": "shifted_cyclic"}
 
 
 @dataclass(frozen=True)
@@ -185,13 +185,8 @@ class TraceRunner:
                     f"event {index}: join would exceed the declared bound {self.trace.n_max}")
             if event.machine in alloc.task_sets:
                 raise EtallocError(f"event {index}: machine {event.machine} is already active")
-        handler = {
-            "cyclic": self._step_cyclic,
-            "shifted_cyclic": self._step_shifted,
-            "zero_waste": self._step_zero_waste,
-            "zero_waste_with_fallback": self._step_zero_waste,
-        }[self.strategy]
-        machine, outcome, shift, degraded = handler(event)
+        step = self._step_zero_waste if "zero_waste" in self.strategy else self._step_shifted
+        machine, outcome, shift, degraded = step(event)
         new_alloc = outcome.new_alloc
         # A machine's waste plus the load change is |S ^ S'| = abandoned + acquired,
         # and |S'| - |S| = acquired - abandoned.
@@ -214,39 +209,28 @@ class TraceRunner:
 
     # Each step returns (machine, outcome, new shift or None, degraded).
 
-    def _step_cyclic(self, event: ElasticEvent) -> tuple[int, TransitionOutcome, None, bool]:
+    def _step_shifted(self, event: ElasticEvent,
+                      ) -> tuple[int, TransitionOutcome, int | None, bool]:
+        """Rebuild the cyclic allocation on the new labels: at the optimal shift
+        for the shifted strategy, at shift 0 (recorded as none) for the plain one."""
         alloc, l, f = self.allocation, self.trace.redundancy, self.trace.n_tasks
-        if event.kind == "leave":
-            labels = [m for m in alloc.machine_ids if m != event.machine]
-            machine = event.machine
-        else:
-            machine = event.machine if event.machine is not None else self._assign_label()
-            labels = list(alloc.machine_ids) + [machine]
-        new_alloc = cyc.cyclic_allocation(labels, l, f)
-        return machine, transition_waste(alloc, new_alloc), None, False
-
-    def _step_shifted(self, event: ElasticEvent) -> tuple[int, TransitionOutcome, int, bool]:
-        alloc, l, f = self.allocation, self.trace.redundancy, self.trace.n_tasks
-        n = alloc.n_machines
+        n, shifted = alloc.n_machines, self.strategy == "shifted_cyclic"
+        shift = self.shift if shifted else 0
         if event.kind == "leave":
             machine = event.machine
-            position = alloc.position(machine)
             labels = [m for m in alloc.machine_ids if m != machine]
-            if n > l + 1:
-                params, _ = cyc.optimal_shift_leave(n, l, f, self.shift, position)
-                new_shift = params.shift
-            else:
-                new_shift = self.shift  # at N-1 = L every set is full, any shift is waste-free
+            # At N-1 = L every set is full, so any shift is waste-free.
+            if shifted and n > l + 1:
+                params, _ = cyc.optimal_shift_leave(n, l, f, shift, alloc.position(machine))
+                shift = params.shift
         else:
             machine = event.machine if event.machine is not None else self._assign_label()
             labels = list(alloc.machine_ids) + [machine]
-            if n > l:
-                params, _ = cyc.optimal_shift_join(n, l, f, self.shift)
-                new_shift = params.shift
-            else:
-                new_shift = self.shift
-        new_alloc = cyc.cyclic_allocation(labels, l, f, new_shift)
-        return machine, transition_waste(alloc, new_alloc), new_shift, False
+            if shifted and n > l:
+                params, _ = cyc.optimal_shift_join(n, l, f, shift)
+                shift = params.shift
+        new_alloc = cyc.cyclic_allocation(labels, l, f, shift)
+        return machine, transition_waste(alloc, new_alloc), shift if shifted else None, False
 
     def _step_zero_waste(self, event: ElasticEvent) -> tuple[int, TransitionOutcome, None, bool]:
         alloc, index = self.allocation, len(self._records)

@@ -3,9 +3,9 @@
 A leave admits a zero-waste transition exactly when the leaver's tasks can be
 spread over the survivors so that each survivor takes exactly the necessary
 load change, never a task it already holds.  That is a perfect Delta-matching
-of the transition graph, decided here by integral max flow; the Hall-style
-counting conditions double as an independent oracle and as witnesses when no
-matching exists.
+of the transition graph, decided here by integral max flow.  When the flow
+falls short, its minimum cut names survivors that violate Hall's condition;
+the counting conditions, checked by enumeration, are an independent oracle.
 """
 
 from __future__ import annotations
@@ -57,9 +57,6 @@ class TransitionGraph:
     right: tuple[int, ...]
     neighbors: dict[int, frozenset[int]]
     delta: int | None
-
-    def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in self.left for v in sorted(self.neighbors[u])]
 
 
 @dataclass(frozen=True)
@@ -192,42 +189,53 @@ def hall_feasible_all_leavers(alloc: TaskAllocation) -> HallResult:
 
 def infeasible_leave_error(alloc: TaskAllocation, leaver: int, context: str,
                            event_index: int | None = None) -> InfeasibleTransitionError:
-    """The error for a leave with no zero-waste move, carrying a Hall witness.
+    """The error for a leave with no zero-waste move, carrying the Hall witness
+    from the minimum cut of its Delta-matching flow (see :func:`_delta_flow`)."""
+    graph = build_transition_graph(alloc, leaver)
+    if graph.delta is None:
+        raise DivisibilityError("zero-waste leave needs N(N-1) | L*F")
+    witness = _delta_flow(graph)
+    if isinstance(witness, DeltaMatching):
+        raise ValueError(f"machine {leaver} has a zero-waste leave")
+    return InfeasibleTransitionError(f"{context}; violating machine subset: {list(witness)}",
+                                     witness=witness, event_index=event_index)
 
-    The witness comes from :func:`hall_feasible_for_leaver`, whose subset
-    enumeration is exponential in N; above the enumeration limit the error
-    says that no witness was computed instead.
+
+class _ResidualNetwork:
+    """Integral flow network: Dinic max flow and min-cost flow on one residual store.
+
+    ``cap`` holds residual capacities, so the flow on arc ``idx`` is the
+    residual capacity of its reverse, ``cap[idx ^ 1]``.  Deterministic for a
+    fixed arc order.
     """
-    if alloc.n_machines <= _MAX_ENUMERATION_MACHINES:
-        witness = hall_feasible_for_leaver(alloc, leaver).witness
-        detail = f"violating machine subset: {list(witness)}"
-    else:
-        witness = None
-        detail = f"no witness computed above {_MAX_ENUMERATION_MACHINES} machines"
-    return InfeasibleTransitionError(f"{context}; {detail}", witness=witness,
-                                     event_index=event_index)
-
-
-class _Dinic:
-    """Integral max flow; deterministic for a fixed edge insertion order."""
 
     def __init__(self, n_nodes: int):
         self.n = n_nodes
         self.head: list[list[int]] = [[] for _ in range(n_nodes)]
         self.to: list[int] = []
         self.cap: list[int] = []
+        self.cost: list[int] = []
+        self.level: list[int] = []
 
-    def add_edge(self, u: int, v: int, capacity: int) -> int:
+    def add_edge(self, u: int, v: int, capacity: int, cost: int = 0, flow: int = 0) -> int:
+        """Add an arc already carrying ``flow`` of its ``capacity`` units."""
         idx = len(self.to)
         self.head[u].append(idx)
         self.to.append(v)
-        self.cap.append(capacity)
+        self.cap.append(capacity - flow)
+        self.cost.append(cost)
         self.head[v].append(idx + 1)
         self.to.append(u)
-        self.cap.append(0)
+        self.cap.append(flow)
+        self.cost.append(-cost)
         return idx
 
     def max_flow(self, source: int, sink: int) -> int:
+        """Dinic's max flow, ignoring costs.
+
+        On return ``level[v] >= 0`` exactly for the nodes the source still
+        reaches in the residual graph: the source side of a minimum cut.
+        """
         flow = 0
         while True:
             level = [-1] * self.n
@@ -239,6 +247,7 @@ class _Dinic:
                     if self.cap[idx] > 0 and level[v] < 0:
                         level[v] = level[u] + 1
                         queue.append(v)
+            self.level = level
             if level[sink] < 0:
                 return flow
             it = [0] * self.n
@@ -264,112 +273,12 @@ class _Dinic:
                     break
                 flow += pushed
 
-
-def find_delta_matching(graph: TransitionGraph) -> DeltaMatching | None:
-    """Perfect Delta-matching of a transition graph via max flow, or None.
-
-    Tasks held by the same survivors can be absorbed by the same machines, so
-    the flow runs on those holder-set classes: source -> machine (capacity
-    delta) -> class (capacity = class size) -> sink (capacity = class size).
-    A perfect matching exists iff the max flow saturates every class, which by
-    Hall's condition is exactly when the counting oracle passes.  The flow
-    expands to single tasks deterministically: each class hands out its tasks
-    in ascending order to its machines in ``graph.left`` order.
-    """
-    if graph.delta is None:
-        raise DivisibilityError("matching needs an integral per-machine intake")
-    need = graph.delta * len(graph.left)
-    if need != len(graph.right):
-        return DeltaMatching(assignment={}, delta=graph.delta) if not graph.right else None
-    if not graph.right:
-        return DeltaMatching(assignment={}, delta=graph.delta)
-    # Bit i of a task's key marks it as held (not absorbable) by graph.left[i].
-    key = dict.fromkeys(graph.right, 0)
-    right = frozenset(graph.right)
-    for i, u in enumerate(graph.left):
-        bit = 1 << i
-        for v in right - graph.neighbors[u]:
-            key[v] |= bit
-    classes: dict[int, list[int]] = {}
-    for v in graph.right:
-        classes.setdefault(key[v], []).append(v)
-    class_node = {k: 1 + len(graph.left) + j for j, k in enumerate(classes)}
-    sink = 1 + len(graph.left) + len(classes)
-    net = _Dinic(sink + 1)
-    for i in range(len(graph.left)):
-        net.add_edge(0, 1 + i, graph.delta)
-    edge_index: list[tuple[int, int, int]] = []
-    for i, u in enumerate(graph.left):
-        for k, tasks in classes.items():
-            if not k >> i & 1:
-                edge_index.append((net.add_edge(1 + i, class_node[k], len(tasks)), u, k))
-    for k, tasks in classes.items():
-        net.add_edge(class_node[k], sink, len(tasks))
-    if net.max_flow(0, sink) != len(graph.right):
-        return None
-    pending = {k: iter(tasks) for k, tasks in classes.items()}
-    assignment = {}
-    for idx, u, k in edge_index:
-        for _ in range(net.cap[idx ^ 1]):
-            assignment[next(pending[k])] = u
-    matching = DeltaMatching(assignment=assignment, delta=graph.delta)
-    matching.check(graph)
-    return matching
-
-
-def zero_waste_leave(alloc: TaskAllocation, leaver: int) -> TransitionOutcome | None:
-    """Reassign the leaver's tasks so every survivor only grows; None if impossible.
-
-    On success the survivors' new sets are supersets of their old ones and the
-    measured waste is exactly zero.  Infeasibility coincides with the Hall
-    counting condition failing for this leaver.
-    """
-    graph = build_transition_graph(alloc, leaver)
-    if graph.delta is None:
-        raise DivisibilityError(
-            "zero-waste leave needs N(N-1) | L*F for an integral per-machine intake")
-    matching = find_delta_matching(graph)
-    if matching is None:
-        return None
-    extra: dict[int, set[int]] = {u: set() for u in graph.left}
-    for task, machine in matching.assignment.items():
-        extra[machine].add(task)
-    new_alloc = TaskAllocation._derived(
-        alloc.redundancy, alloc.n_tasks, graph.left,
-        {u: alloc.task_sets[u] | extra[u] for u in graph.left})
-    outcome = transition_waste(alloc, new_alloc, leaver=leaver)
-    assert outcome.total_waste == 0
-    return outcome
-
-
-class _MinCostFlow:
-    """Successive shortest augmenting paths with Dijkstra potentials."""
-
-    def __init__(self, n_nodes: int):
-        self.n = n_nodes
-        self.head: list[list[int]] = [[] for _ in range(n_nodes)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-        self.cost: list[int] = []
-
-    def add_edge(self, u: int, v: int, capacity: int, cost: int, flow: int = 0) -> int:
-        """Add an arc already carrying ``flow`` of its ``capacity`` units."""
-        idx = len(self.to)
-        self.head[u].append(idx)
-        self.to.append(v)
-        self.cap.append(capacity - flow)
-        self.cost.append(cost)
-        self.head[v].append(idx + 1)
-        self.to.append(u)
-        self.cap.append(flow)
-        self.cost.append(-cost)
-        return idx
-
     def min_cost_flow(self, source: int, sink: int, amount: int) -> int:
         """Push ``amount`` more units at minimum cost; raises if that much cannot flow.
 
-        Any flow set up by :meth:`add_edge` must leave no negative-cost cycle
-        in the residual graph, so that zero potentials start Dijkstra right.
+        Successive shortest augmenting paths with Dijkstra potentials.  Any
+        flow set up by :meth:`add_edge` must leave no negative-cost cycle in
+        the residual graph, so that zero potentials start Dijkstra right.
         """
         potential = [0] * self.n
         total_cost = 0
@@ -414,6 +323,92 @@ class _MinCostFlow:
         return total_cost
 
 
+def _delta_flow(graph: TransitionGraph) -> DeltaMatching | tuple[int, ...]:
+    """The perfect Delta-matching of ``graph``, or a Hall witness that none exists.
+
+    Tasks held by the same survivors can go to the same machines, so the flow
+    runs on holder-set classes: source -> machine (capacity delta) -> class
+    (class size) -> sink (class size).  A saturating flow expands to tasks in a
+    fixed order: each class hands its tasks out ascending, to its machines in
+    ``graph.left`` order.  Otherwise the witness is the survivors J the source
+    still reaches, ascending: the minimum cut around J is below delta*(N-1) and
+    at least delta*(N-1-|J|) + |N(J)|, so |N(J)| < delta*|J|.
+    """
+    # Bit i of a task's key marks it as held (not absorbable) by graph.left[i].
+    key = dict.fromkeys(graph.right, 0)
+    right = frozenset(graph.right)
+    for i, u in enumerate(graph.left):
+        bit = 1 << i
+        for v in right - graph.neighbors[u]:
+            key[v] |= bit
+    classes: dict[int, list[int]] = {}
+    for v in graph.right:
+        classes.setdefault(key[v], []).append(v)
+    class_node = {k: 1 + len(graph.left) + j for j, k in enumerate(classes)}
+    sink = 1 + len(graph.left) + len(classes)
+    net = _ResidualNetwork(sink + 1)
+    for i in range(len(graph.left)):
+        net.add_edge(0, 1 + i, graph.delta)
+    edge_index: list[tuple[int, int, int]] = []
+    for i, u in enumerate(graph.left):
+        for k, tasks in classes.items():
+            if not k >> i & 1:
+                edge_index.append((net.add_edge(1 + i, class_node[k], len(tasks)), u, k))
+    for k, tasks in classes.items():
+        net.add_edge(class_node[k], sink, len(tasks))
+    if net.max_flow(0, sink) != len(graph.right):
+        return tuple(sorted(u for i, u in enumerate(graph.left) if net.level[1 + i] >= 0))
+    pending = {k: iter(tasks) for k, tasks in classes.items()}
+    assignment = {}
+    for idx, u, k in edge_index:
+        for _ in range(net.cap[idx ^ 1]):
+            assignment[next(pending[k])] = u
+    matching = DeltaMatching(assignment=assignment, delta=graph.delta)
+    matching.check(graph)
+    return matching
+
+
+def find_delta_matching(graph: TransitionGraph) -> DeltaMatching | None:
+    """Perfect Delta-matching of a transition graph via max flow, or None.
+
+    It exists iff the class flow of :func:`_delta_flow` saturates every class,
+    which by Hall's condition is exactly when the counting oracle passes.
+    """
+    if graph.delta is None:
+        raise DivisibilityError("matching needs an integral per-machine intake")
+    if not graph.right:
+        return DeltaMatching(assignment={}, delta=graph.delta)
+    if graph.delta * len(graph.left) != len(graph.right):
+        return None
+    found = _delta_flow(graph)
+    return found if isinstance(found, DeltaMatching) else None
+
+
+def zero_waste_leave(alloc: TaskAllocation, leaver: int) -> TransitionOutcome | None:
+    """Reassign the leaver's tasks so every survivor only grows; None if impossible.
+
+    On success the survivors' new sets are supersets of their old ones and the
+    measured waste is exactly zero.  Infeasibility coincides with the Hall
+    counting condition failing for this leaver.
+    """
+    graph = build_transition_graph(alloc, leaver)
+    if graph.delta is None:
+        raise DivisibilityError(
+            "zero-waste leave needs N(N-1) | L*F for an integral per-machine intake")
+    matching = find_delta_matching(graph)
+    if matching is None:
+        return None
+    extra: dict[int, set[int]] = {u: set() for u in graph.left}
+    for task, machine in matching.assignment.items():
+        extra[machine].add(task)
+    new_alloc = TaskAllocation._derived(
+        alloc.redundancy, alloc.n_tasks, graph.left,
+        {u: alloc.task_sets[u] | extra[u] for u in graph.left})
+    outcome = transition_waste(alloc, new_alloc, leaver=leaver)
+    assert outcome.total_waste == 0
+    return outcome
+
+
 def best_effort_leave(alloc: TaskAllocation, leaver: int) -> TransitionOutcome:
     """Minimum-waste (not necessarily zero) reallocation after a leave.
 
@@ -440,12 +435,12 @@ def best_effort_leave(alloc: TaskAllocation, leaver: int) -> TransitionOutcome:
     task_node = {t: 1 + t for t in range(f)}
     machine_node = {m: 1 + f + i for i, m in enumerate(survivors)}
     sink = 1 + f + len(survivors)
-    net = _MinCostFlow(sink + 1)
+    net = _ResidualNetwork(sink + 1)
     # Warm start: every incidence a survivor keeps already carries its unit at
     # cost 0, so the residual graph has no negative arc and only the leaver's
     # L*F/N units are left to route.
     for t in range(f):
-        net.add_edge(0, task_node[t], l, 0, flow=kept[t])
+        net.add_edge(0, task_node[t], l, flow=kept[t])
     edge_of: dict[int, tuple[int, int]] = {}
     for t in range(f):
         for m in survivors:
@@ -453,7 +448,7 @@ def best_effort_leave(alloc: TaskAllocation, leaver: int) -> TransitionOutcome:
             edge_of[net.add_edge(task_node[t], machine_node[m], 1, 1 - keep,
                                  flow=keep)] = (t, m)
     for m in survivors:
-        net.add_edge(machine_node[m], sink, load, 0, flow=len(alloc.task_sets[m]))
+        net.add_edge(machine_node[m], sink, load, flow=len(alloc.task_sets[m]))
     net.min_cost_flow(0, sink, l * f - sum(kept))
     new_sets: dict[int, set[int]] = {m: set() for m in survivors}
     for idx, (t, m) in edge_of.items():

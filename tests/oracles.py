@@ -22,7 +22,7 @@ from etalloc import (
     transition_waste,
     validate_tas,
 )
-from etalloc.zero_waste import _Dinic, _MinCostFlow
+from etalloc.zero_waste import _ResidualNetwork
 
 
 def find_delta_matching_per_task(graph: TransitionGraph) -> DeltaMatching | None:
@@ -36,7 +36,7 @@ def find_delta_matching_per_task(graph: TransitionGraph) -> DeltaMatching | None
     machine_node = {u: 1 + i for i, u in enumerate(graph.left)}
     task_node = {v: 1 + len(graph.left) + j for j, v in enumerate(graph.right)}
     sink = 1 + len(graph.left) + len(graph.right)
-    net = _Dinic(sink + 1)
+    net = _ResidualNetwork(sink + 1)
     for u in graph.left:
         net.add_edge(0, machine_node[u], graph.delta)
     edge_index: dict[int, tuple[int, int]] = {}
@@ -74,7 +74,7 @@ def best_effort_leave_cold(alloc: TaskAllocation, leaver: int) -> TransitionOutc
     load = l * f // (n - 1)
     machine_node = {m: 1 + f + i for i, m in enumerate(survivors)}
     sink = 1 + f + len(survivors)
-    net = _MinCostFlow(sink + 1)
+    net = _ResidualNetwork(sink + 1)
     for t in range(f):
         net.add_edge(0, 1 + t, l, 0)
     edge_of: dict[int, tuple[int, int]] = {}

@@ -137,7 +137,7 @@ class TestTransition:
         bad.write_text(tas_to_json(doubled_block_tas(22, 462)))
         code, _, err = run(["transition", "--tas", str(bad), "--leave", "1",
                             "--strategy", "zero_waste"], capsys)
-        assert code == 1 and "no witness computed above 20 machines" in err
+        assert code == 1 and "violating machine subset: [2]" in err
 
     def test_zero_waste_matching_line_is_the_delta_matching(self, tmp_path, capsys):
         pool = tas_from_configuration(projective_plane(3), 312)
@@ -179,6 +179,13 @@ class TestTransition:
             assert code == 0
             outputs.append((out, err))
         assert outputs[0] == outputs[1]
+
+    def test_wrong_given_shift_is_usage_error(self, fig1a, capsys):
+        # Run from shift 3, this leave would cost 12; from the real shift 0 it is free.
+        code, out, err = run(["transition", "--tas", str(fig1a), "--leave", "5",
+                              "--strategy", "shifted", "--delta-prev", "3"], capsys)
+        assert code == 2 and not out
+        assert "--delta-prev 3" in err and "shift 0" in err
 
     def test_non_shifted_input_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "fano.json"

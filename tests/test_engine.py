@@ -138,6 +138,17 @@ class TestRunTrace:
         assert excinfo.value.event_index == 0
         assert excinfo.value.witness
 
+    def test_infeasible_leave_far_above_enumeration_has_cut_witness(self):
+        # Machine 2 holds every task machine 1 leaves behind: it can absorb none.
+        trace = ElasticTrace(initial_machines=40, redundancy=2, n_tasks=1560,
+                             strategy="zero_waste",
+                             seed_allocation=doubled_block_tas(40, 1560),
+                             events=(ElasticEvent.leave(1),))
+        with pytest.raises(InfeasibleTransitionError) as excinfo:
+            run_trace(trace)
+        assert excinfo.value.witness == (2,)
+        assert "violating machine subset: [2]" in str(excinfo.value)
+
     def test_fallback_degrades_instead_of_raising(self):
         trace = ElasticTrace(initial_machines=4, redundancy=2, n_tasks=12,
                              strategy="zero_waste_with_fallback",

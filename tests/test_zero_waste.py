@@ -28,6 +28,7 @@ from etalloc import (
     zero_waste_leave,
 )
 from etalloc.checks import doubled_block_tas, perturbed
+from etalloc.zero_waste import infeasible_leave_error
 
 from oracles import (
     best_effort_leave_cold,
@@ -107,6 +108,26 @@ class TestHallPerLeaver:
         graph = build_transition_graph(DOUBLED, 1)
         absorbable = frozenset().union(*(graph.neighbors[u] for u in result.witness))
         assert len(absorbable) < len(result.witness) * graph.delta
+
+    def test_two_machine_cut_witness_is_in_label_order(self):
+        # Leaver 9 and survivors 8 and 2 share 15 tasks, so 8 and 2 can absorb only
+        # the leaver's 3 others: delta = 3 for either alone, too few for both.
+        sets = [set(range(15)) | set(range(t, t + 3)) for t in (15, 18, 21)]
+        sets += [set(range(24, 42)) for _ in range(4)]
+        pairs = [(3, 4), (3, 5), (3, 5), (3, 6), (3, 6), (4, 5), (4, 5), (4, 6), (4, 6)]
+        for t, pair in enumerate(pairs, start=15):
+            for m in pair:
+                sets[m].add(t)
+        for t, m in zip(range(24, 42), [3] * 5 + [4] * 5 + [5] * 4 + [6] * 4):
+            sets[m].discard(t)
+        alloc = TaskAllocation.from_sets([frozenset(s) for s in sets], 3, 42,
+                                         machine_ids=[9, 8, 2, 7, 6, 5, 4])
+        error = infeasible_leave_error(alloc, 9, "leave")
+        assert error.witness == (2, 8) == hall_feasible_for_leaver(alloc, 9).witness
+
+    def test_no_error_for_a_feasible_leave(self):
+        with pytest.raises(ValueError):
+            infeasible_leave_error(FIG1A, 5, "leave")
 
     def test_cyclic_sweep_is_feasible(self):
         for l in (2, 3):
@@ -264,6 +285,20 @@ class TestClassSolversMatchOracles:
             assert (matching is not None) == hall_feasible_for_leaver(alloc, leaver).feasible
             if matching is not None:
                 matching.check(graph)
+
+    @ORACLE_SETTINGS
+    @given(pools())
+    def test_cut_witness_violates_the_counting_condition(self, alloc):
+        for leaver in alloc.machine_ids:
+            graph = build_transition_graph(alloc, leaver)
+            if find_delta_matching(graph) is not None:
+                continue
+            witness = infeasible_leave_error(alloc, leaver, "leave").witness
+            assert witness and list(witness) == sorted(set(witness))
+            assert set(witness) <= set(graph.left)
+            absorbable = frozenset().union(*(graph.neighbors[u] for u in witness))
+            assert len(absorbable) < graph.delta * len(witness)
+            assert not hall_feasible_for_leaver(alloc, leaver).feasible
 
     @ORACLE_SETTINGS
     @given(pools())
