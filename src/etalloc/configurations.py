@@ -152,7 +152,11 @@ def _find_irreducible(p: int, k: int) -> list[int]:
 
 
 class _Field:
-    """GF(p**k) with elements encoded as integers 0..q-1 (base-p coefficient digits)."""
+    """GF(p**k) with elements encoded as integers 0..q-1 (base-p coefficient digits).
+
+    The q-by-q addition and multiplication tables are built once from the
+    digit and polynomial arithmetic, so field operations are lookups.
+    """
 
     def __init__(self, q: int):
         pk = _prime_power(q)
@@ -161,6 +165,11 @@ class _Field:
         self.q = q
         self.p, self.k = pk
         self.modulus = None if self.k == 1 else _find_irreducible(self.p, self.k)
+        digits = [self._digits(e) for e in range(q)]
+        self.add_table = tuple(
+            tuple(self._encode((x + y) % self.p for x, y in zip(a, b)) for b in digits)
+            for a in digits)
+        self.mul_table = tuple(tuple(self._poly_product(a, b) for b in digits) for a in digits)
 
     def _digits(self, e: int) -> list[int]:
         out = []
@@ -175,16 +184,10 @@ class _Field:
             e = e * self.p + d
         return e
 
-    def add(self, a: int, b: int) -> int:
+    def _poly_product(self, a: Sequence[int], b: Sequence[int]) -> int:
+        prod = _poly_mul(a, b, self.p)
         if self.k == 1:
-            return (a + b) % self.p
-        return self._encode((x + y) % self.p
-                            for x, y in zip(self._digits(a), self._digits(b)))
-
-    def mul(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a * b) % self.p
-        prod = _poly_mul(self._digits(a), self._digits(b), self.p)
+            return prod[0]
         reduced = _poly_mod(prod, self.modulus, self.p)
         return self._encode(reduced + [0] * (self.k - len(reduced)))
 
@@ -221,9 +224,10 @@ def projective_plane(q: int) -> Configuration:
 
 
 def _dot(field: _Field, a: Sequence[int], b: Sequence[int]) -> int:
+    add, mul = field.add_table, field.mul_table
     acc = 0
     for x, y in zip(a, b):
-        acc = field.add(acc, field.mul(x, y))
+        acc = add[acc][mul[x][y]]
     return acc
 
 
@@ -268,17 +272,19 @@ def tas_from_configuration(config: Configuration, n_tasks: int) -> TaskAllocatio
 
     Partitions the task range into n_points contiguous equal slices, one per
     point; machine n takes the union of the slices on line n.  Pairwise task
-    set intersections are then at most n_tasks / n_points.
+    set intersections are then at most n_tasks / n_points.  The sets are
+    unions of ranges, so the allocation is built as a derived one;
+    :func:`validate_tas` reports tasks of points outside 1..n_points.
     """
     v = config.n_points
     if n_tasks % v != 0:
         raise ValueError(
             f"point count {v} does not divide task count {n_tasks}")
-    slice_size = n_tasks // v
-    part = {p: frozenset(range((p - 1) * slice_size, p * slice_size))
-            for p in range(1, v + 1)}
-    sets = [frozenset().union(*(part[p] for p in line)) for line in config.lines]
-    return TaskAllocation.from_sets(sets, redundancy=config.line_size, n_tasks=n_tasks)
+    size = n_tasks // v
+    ids = range(1, len(config.lines) + 1)
+    sets = {m: frozenset().union(*(range((p - 1) * size, p * size) for p in line))
+            for m, line in zip(ids, config.lines)}
+    return TaskAllocation._derived(config.line_size, n_tasks, ids, sets)
 
 
 def _floor_sub_sqrt(a: int, disc: int, b: int) -> int:

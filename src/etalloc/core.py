@@ -174,17 +174,9 @@ class TaskAllocation:
             task_sets=dict(zip(ids, sets)),
         )
 
-    def task_set(self, machine: int) -> frozenset[int]:
-        return self.task_sets[machine]
-
     def position(self, machine: int) -> int:
         """1-based position of ``machine`` in the allocation order."""
         return self.machine_ids.index(machine) + 1
-
-    @property
-    def load(self) -> int:
-        """The balanced per-machine task count L*F/N (may be fractional pre-validation)."""
-        return self.redundancy * self.n_tasks // self.n_machines
 
     def sets_in_order(self) -> tuple[frozenset[int], ...]:
         return tuple(self.task_sets[m] for m in self.machine_ids)

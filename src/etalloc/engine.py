@@ -27,10 +27,10 @@ from .core import (
     transition_waste,
 )
 from .zero_waste import (
+    _leave_or_witness,
+    _witness_error,
     best_effort_leave,
-    infeasible_leave_error,
     zero_waste_join,
-    zero_waste_leave,
 )
 
 __all__ = [
@@ -236,12 +236,12 @@ class TraceRunner:
         alloc, index = self.allocation, len(self._records)
         if event.kind == "leave":
             machine = event.machine
-            outcome = zero_waste_leave(alloc, machine)
-            degraded = outcome is None
+            outcome = _leave_or_witness(alloc, machine)
+            degraded = not isinstance(outcome, TransitionOutcome)
             if degraded:
                 if self.strategy != "zero_waste_with_fallback":
-                    raise infeasible_leave_error(
-                        alloc, machine,
+                    raise _witness_error(
+                        outcome,
                         f"event {index}: no zero-waste transition when machine {machine} leaves",
                         event_index=index)
                 outcome = best_effort_leave(alloc, machine)
@@ -323,10 +323,6 @@ class TreeNode:
             node = node.parent
         return tuple(reversed(out))
 
-    @property
-    def depth(self) -> int:
-        return len(self.path)
-
 
 @dataclass
 class TransitionTree:
@@ -353,11 +349,10 @@ class TransitionTree:
             return node.children[leaver]
         if leaver not in node.allocation.task_sets:
             raise ValueError(f"machine {leaver} is not active at node {node.path}")
-        outcome = zero_waste_leave(node.allocation, leaver)
-        if outcome is None:
-            raise infeasible_leave_error(
-                node.allocation, leaver,
-                f"no zero-waste transition at node {node.path} for leaver {leaver}")
+        outcome = _leave_or_witness(node.allocation, leaver)
+        if not isinstance(outcome, TransitionOutcome):
+            raise _witness_error(
+                outcome, f"no zero-waste transition at node {node.path} for leaver {leaver}")
         child = TreeNode(allocation=outcome.new_alloc, parent=node,
                          leaver_from_parent=leaver)
         node.children[leaver] = child

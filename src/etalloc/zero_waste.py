@@ -161,10 +161,13 @@ def hall_feasible_all_leavers(alloc: TaskAllocation) -> HallResult:
     Feasible iff every set I of 2..L machines has |common tasks| at most
     (N - |I|) times the per-machine intake.  Singletons meet the bound with
     equality, and a set whose members share no task meets it trivially, so
-    only the subsets of some task's holder set are counted: at most
-    #holder-sets * 2^L of them rather than C(N, 2..L).  The witness is the
-    first violating I in (size, labels) order, as a full enumeration would
-    find it.
+    only the subsets of some task's holder set are counted.  Pairs come
+    first: I shares no more tasks than any pair inside it, and its bound is
+    at least (N - L) times the intake, so if no pair shares more than that
+    the allocation passes without counting larger sets.  Otherwise at most
+    #holder-sets * 2^L subsets are counted rather than C(N, 2..L), and the
+    witness is the first violating I in (size, labels) order, as a full
+    enumeration would find it.
     """
     require_valid(alloc)
     n, l, f = alloc.n_machines, alloc.redundancy, alloc.n_tasks
@@ -176,27 +179,42 @@ def hall_feasible_all_leavers(alloc: TaskAllocation) -> HallResult:
     for m in sorted(alloc.machine_ids):
         for t in alloc.task_sets[m]:
             holders[t].append(m)
+    holder_sets = Counter(map(tuple, holders))
+    pair_common: Counter[tuple[int, int]] = Counter()
+    for holder_set, size in holder_sets.items():
+        for pair in itertools.combinations(holder_set, 2):
+            pair_common[pair] += size
+    if max(pair_common.values(), default=0) <= (n - l) * delta:
+        return HallResult(feasible=True)
+    witness = _first_violating_subset(holder_sets, n, delta)
+    return HallResult(feasible=witness is None, witness=witness)
+
+
+def _first_violating_subset(holder_sets: Counter[tuple[int, ...]], n: int,
+                            delta: int) -> tuple[int, ...] | None:
+    """The least (size, labels) subset of 2+ co-holders sharing more than
+    (N - size) * delta tasks, counted over every subset of every holder set."""
     common: Counter[tuple[int, ...]] = Counter()
-    for holder_set, size in Counter(map(tuple, holders)).items():
+    for holder_set, size in holder_sets.items():
         for k in range(2, len(holder_set) + 1):
             for subset in itertools.combinations(holder_set, k):
                 common[subset] += size
     violating = [s for s, c in common.items() if c > (n - len(s)) * delta]
-    if violating:
-        return HallResult(feasible=False, witness=min(violating, key=lambda s: (len(s), s)))
-    return HallResult(feasible=True)
+    return min(violating, key=lambda s: (len(s), s)) if violating else None
 
 
 def infeasible_leave_error(alloc: TaskAllocation, leaver: int, context: str,
                            event_index: int | None = None) -> InfeasibleTransitionError:
     """The error for a leave with no zero-waste move, carrying the Hall witness
     from the minimum cut of its Delta-matching flow (see :func:`_delta_flow`)."""
-    graph = build_transition_graph(alloc, leaver)
-    if graph.delta is None:
-        raise DivisibilityError("zero-waste leave needs N(N-1) | L*F")
-    witness = _delta_flow(graph)
-    if isinstance(witness, DeltaMatching):
+    found = _leave_or_witness(alloc, leaver)
+    if isinstance(found, TransitionOutcome):
         raise ValueError(f"machine {leaver} has a zero-waste leave")
+    return _witness_error(found, context, event_index)
+
+
+def _witness_error(witness: tuple[int, ...], context: str,
+                   event_index: int | None = None) -> InfeasibleTransitionError:
     return InfeasibleTransitionError(f"{context}; violating machine subset: {list(witness)}",
                                      witness=witness, event_index=event_index)
 
@@ -391,15 +409,21 @@ def zero_waste_leave(alloc: TaskAllocation, leaver: int) -> TransitionOutcome | 
     measured waste is exactly zero.  Infeasibility coincides with the Hall
     counting condition failing for this leaver.
     """
+    found = _leave_or_witness(alloc, leaver)
+    return found if isinstance(found, TransitionOutcome) else None
+
+
+def _leave_or_witness(alloc: TaskAllocation, leaver: int) -> TransitionOutcome | tuple[int, ...]:
+    """The zero-waste leave, or the Hall witness of the one flow that refutes it."""
     graph = build_transition_graph(alloc, leaver)
     if graph.delta is None:
         raise DivisibilityError(
             "zero-waste leave needs N(N-1) | L*F for an integral per-machine intake")
-    matching = find_delta_matching(graph)
-    if matching is None:
-        return None
+    found = _delta_flow(graph)
+    if not isinstance(found, DeltaMatching):
+        return found
     extra: dict[int, set[int]] = {u: set() for u in graph.left}
-    for task, machine in matching.assignment.items():
+    for task, machine in found.assignment.items():
         extra[machine].add(task)
     new_alloc = TaskAllocation._derived(
         alloc.redundancy, alloc.n_tasks, graph.left,

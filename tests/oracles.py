@@ -2,9 +2,10 @@
 
 Each function here is the direct formulation the package's code refines:
 one flow node per task, every machine subset enumerated, a min-cost flow
-that routes all L*F units from an empty flow, a per-element coverage tally
-and a per-element modular interval.  They are slow on purpose and live only
-in the tests.
+that routes all L*F units from an empty flow, a per-element coverage tally,
+a per-element modular interval, and finite-field arithmetic that decodes
+digits and reduces a polynomial on every call.  They are slow on purpose and
+live only in the tests.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import itertools
 
 from etalloc import (
+    Configuration,
     DeltaMatching,
     DivisibilityError,
     HallResult,
@@ -21,6 +23,13 @@ from etalloc import (
     ValidationReport,
     transition_waste,
     validate_tas,
+)
+from etalloc.configurations import (
+    _find_irreducible,
+    _poly_mod,
+    _poly_mul,
+    _prime_power,
+    _projective_points,
 )
 from etalloc.zero_waste import _ResidualNetwork
 
@@ -130,3 +139,56 @@ def validate_tas_per_element(alloc: TaskAllocation) -> ValidationReport:
         if c != l:
             violations.append(f"redundancy: task {t} covered by {c} machines, expected {l}")
     return ValidationReport(ok=not violations, violations=tuple(violations))
+
+
+class FieldPerCall:
+    """GF(p**k) on integers 0..q-1 whose every operation decodes base-p digits,
+    and whose products reduce modulo the field's irreducible polynomial."""
+
+    def __init__(self, q: int):
+        self.q = q
+        self.p, self.k = _prime_power(q)
+        self.modulus = None if self.k == 1 else _find_irreducible(self.p, self.k)
+
+    def _digits(self, e: int) -> list[int]:
+        out = []
+        for _ in range(self.k):
+            out.append(e % self.p)
+            e //= self.p
+        return out
+
+    def _encode(self, digits) -> int:
+        e = 0
+        for d in reversed(list(digits)):
+            e = e * self.p + d
+        return e
+
+    def add(self, a: int, b: int) -> int:
+        if self.k == 1:
+            return (a + b) % self.p
+        return self._encode((x + y) % self.p
+                            for x, y in zip(self._digits(a), self._digits(b)))
+
+    def mul(self, a: int, b: int) -> int:
+        if self.k == 1:
+            return (a * b) % self.p
+        prod = _poly_mul(self._digits(a), self._digits(b), self.p)
+        reduced = _poly_mod(prod, self.modulus, self.p)
+        return self._encode(reduced + [0] * (self.k - len(reduced)))
+
+
+def projective_plane_per_call(q: int) -> Configuration:
+    """The projective plane with every incidence decided by per-call field arithmetic."""
+    field = FieldPerCall(q)
+    reps = _projective_points(field)
+    point_id = {vec: i + 1 for i, vec in enumerate(reps)}
+
+    def dot(a, b) -> int:
+        acc = 0
+        for x, y in zip(a, b):
+            acc = field.add(acc, field.mul(x, y))
+        return acc
+
+    lines = tuple(frozenset(point_id[vec] for vec in reps if not dot(coeffs, vec))
+                  for coeffs in reps)
+    return Configuration(n_points=len(reps), line_size=q + 1, lines=lines)

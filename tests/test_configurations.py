@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from etalloc import (
+    TaskAllocation,
     configuration_from_json,
     configuration_to_json,
     family_zero_waste_range,
@@ -20,7 +21,12 @@ from etalloc import (
     zero_waste_range,
     zwr_task_count,
 )
+from etalloc.configurations import _Field
+from etalloc.core import require_valid
 
+from oracles import FieldPerCall, projective_plane_per_call
+
+PRIME_POWERS = [2, 3, 4, 5, 7, 8, 9]
 FANO_LINES = [{1, 2, 3}, {1, 4, 5}, {1, 6, 7}, {2, 4, 6}, {2, 5, 7},
               {3, 5, 6}, {3, 4, 7}]
 
@@ -74,15 +80,35 @@ class TestProjectivePlane:
         assert projective_plane(3) == projective_plane(3)
 
 
+class TestFieldTables:
+    @pytest.mark.parametrize("q", PRIME_POWERS)
+    def test_tables_equal_per_call_arithmetic(self, q):
+        field, oracle = _Field(q), FieldPerCall(q)
+        pairs = list(itertools.product(range(q), repeat=2))
+        assert [field.add_table[a][b] for a, b in pairs] == [oracle.add(a, b) for a, b in pairs]
+        assert [field.mul_table[a][b] for a, b in pairs] == [oracle.mul(a, b) for a, b in pairs]
+
+    @pytest.mark.parametrize("q", PRIME_POWERS)
+    def test_tables_form_a_field(self, q):
+        field = _Field(q)
+        elements = list(range(q))
+        assert all(sorted(row) == elements for row in field.add_table)
+        assert all(sorted(field.mul_table[a][1:]) == elements[1:] for a in elements[1:])
+
+    @pytest.mark.parametrize("q", PRIME_POWERS)
+    def test_plane_equals_per_call_construction(self, q):
+        assert projective_plane(q) == projective_plane_per_call(q)
+
+
 class TestTruncatedPlanes:
-    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    @pytest.mark.parametrize("q", PRIME_POWERS)
     def test_q_squared(self, q):
         config = truncated_plane_q2(q)
         assert (config.n_points, config.line_size) == (q * q, q)
         assert len(config.lines) == config.n_points
         assert validate_configuration(config).ok
 
-    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    @pytest.mark.parametrize("q", PRIME_POWERS)
     def test_q_squared_minus_one(self, q):
         config = truncated_plane_q2_minus_1(q)
         assert (config.n_points, config.line_size) == (q * q - 1, q)
@@ -118,7 +144,7 @@ class TestConfigurationAllocation:
                     for a, b in itertools.combinations(alloc.machine_ids, 2))
         assert worst <= 2
 
-    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    @pytest.mark.parametrize("q", PRIME_POWERS)
     def test_intersection_bound_across_families(self, q):
         for config in (projective_plane(q), truncated_plane_q2(q),
                        truncated_plane_q2_minus_1(q)):
@@ -132,6 +158,21 @@ class TestConfigurationAllocation:
     def test_divisibility_guard(self):
         with pytest.raises(ValueError):
             tas_from_configuration(fano_plane(), 15)
+
+    @pytest.mark.parametrize("config,f", [
+        (fano_plane(), 7), (fano_plane(), 42), (projective_plane(4), 1596),
+        (projective_plane(9), 182), (truncated_plane_q2(8), 128),
+        (truncated_plane_q2_minus_1(7), 96),
+    ])
+    def test_derived_pool_equals_public_rebuild(self, config, f):
+        alloc = tas_from_configuration(config, f)
+        public = TaskAllocation(alloc.n_machines, alloc.redundancy, alloc.n_tasks,
+                                alloc.machine_ids, dict(alloc.task_sets))
+        assert alloc == public
+        assert alloc.machine_ids == tuple(range(1, config.n_points + 1))
+        assert tuple(alloc.task_sets) == alloc.machine_ids
+        assert all(type(t) is int for m in alloc.machine_ids for t in alloc.task_sets[m])
+        require_valid(alloc)
 
 
 class TestZeroWasteRange:

@@ -26,7 +26,7 @@ from etalloc import (
     tree_navigate,
     validate_tas,
 )
-from etalloc import core
+from etalloc import core, zero_waste
 from etalloc.checks import doubled_block_tas, perturbed
 from etalloc.engine import report_rows, report_to_document
 
@@ -238,6 +238,39 @@ class TestValidateOnce:
         runner.apply(ElasticEvent.join())
         assert runner.allocation is seed
         assert len(validated) == 3
+
+
+class TestSolveOnce:
+    """An infeasible leave solves its class flow once, for the verdict and the witness."""
+
+    @pytest.fixture
+    def flows(self, monkeypatch):
+        calls = []
+        real = zero_waste._delta_flow
+
+        def counting(graph):
+            calls.append(graph.leaver)
+            return real(graph)
+
+        monkeypatch.setattr(zero_waste, "_delta_flow", counting)
+        return calls
+
+    def test_infeasible_trace_leave(self, flows):
+        trace = ElasticTrace(initial_machines=40, redundancy=2, n_tasks=1560,
+                             strategy="zero_waste",
+                             seed_allocation=doubled_block_tas(40, 1560),
+                             events=(ElasticEvent.leave(1),))
+        with pytest.raises(InfeasibleTransitionError) as excinfo:
+            run_trace(trace)
+        assert excinfo.value.witness == (2,)
+        assert flows == [1]
+
+    def test_infeasible_tree_child(self, flows):
+        tree = build_transition_tree(doubled_block_tas(4, 12), n_min=2)
+        with pytest.raises(InfeasibleTransitionError) as excinfo:
+            tree.child(tree.root, 1)
+        assert excinfo.value.witness == (2,)
+        assert flows == [1]
 
 
 class TestBoundsAndLabels:

@@ -2,6 +2,8 @@
 
 import itertools
 import random
+from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +30,7 @@ from etalloc import (
     zero_waste_leave,
 )
 from etalloc.checks import doubled_block_tas, perturbed
+from etalloc import zero_waste
 from etalloc.zero_waste import infeasible_leave_error
 
 from oracles import (
@@ -155,9 +158,25 @@ class TestHallAllLeavers:
         assert len(common) > (4 - len(result.witness)) * delta
 
     def test_projective_q7_certificate(self):
-        # N=57, L=8: the full C(57, 2..8) enumeration does not finish in minutes
+        # N=57, L=8: the full C(57, 2..8) enumeration does not finish in minutes.
+        # Two lines share one point's tasks, within the pair bound, so no
+        # larger set is counted.
         alloc = tas_from_configuration(projective_plane(7), 399)
-        assert hall_feasible_all_leavers(alloc).feasible
+        with mock.patch.object(zero_waste, "_first_violating_subset", side_effect=AssertionError):
+            assert hall_feasible_all_leavers(alloc).feasible
+
+    def test_pairs_within_their_own_bound_do_not_clear_a_violating_triple(self):
+        # N=6, L=3, F=20, delta=2.  Every pair shares at most (N-2)*delta = 8
+        # tasks, yet {1,2,3} and {4,5,6} share 7 > (N-3)*delta = 6: only pairs
+        # within (N-L)*delta = 6 may skip counting the larger sets.
+        holder_counts = {(1, 2, 3): 7, (4, 5, 6): 7, (1, 2, 4): 1, (1, 3, 5): 1,
+                         (2, 3, 6): 1, (1, 5, 6): 1, (2, 4, 5): 1, (3, 4, 6): 1}
+        holders = [h for h, count in holder_counts.items() for _ in range(count)]
+        sets = [frozenset(t for t, h in enumerate(holders) if m in h) for m in range(1, 7)]
+        alloc = TaskAllocation.from_sets(sets, redundancy=3, n_tasks=20)
+        result = hall_feasible_all_leavers(alloc)
+        assert not result.feasible and result.witness == (1, 2, 3)
+        assert result == hall_feasible_all_leavers_enumerated(alloc)
 
     def test_singletons_meet_the_bound_with_equality(self):
         n, l, f = 5, 3, 20
@@ -300,10 +319,27 @@ class TestClassSolversMatchOracles:
             assert len(absorbable) < graph.delta * len(witness)
             assert not hall_feasible_for_leaver(alloc, leaver).feasible
 
-    @ORACLE_SETTINGS
-    @given(pools())
-    def test_all_leavers_certificate_gives_the_oracle_witness(self, alloc):
-        assert hall_feasible_all_leavers(alloc) == hall_feasible_all_leavers_enumerated(alloc)
+    def test_all_leavers_certificate_gives_the_oracle_witness(self):
+        # Count which pools the pair bound settles and which need every subset
+        # counted, so that the corpus is known to run both.
+        exits = Counter()
+        enumerate_subsets = zero_waste._first_violating_subset
+
+        def counted(*args):
+            exits["subsets"] += 1
+            return enumerate_subsets(*args)
+
+        @ORACLE_SETTINGS
+        @given(pools())
+        def check(alloc):
+            before = exits["subsets"]
+            assert hall_feasible_all_leavers(alloc) == hall_feasible_all_leavers_enumerated(alloc)
+            if exits["subsets"] == before:
+                exits["pairs"] += 1
+
+        with mock.patch.object(zero_waste, "_first_violating_subset", counted):
+            check()
+        assert exits["pairs"] > 0 and exits["subsets"] > 0
 
     @ORACLE_SETTINGS
     @given(pools(), st.data())
