@@ -15,6 +15,7 @@ from .core import (
     TaskAllocation,
     TransitionOutcome,
     ValidationReport,
+    holder_classes,
     incidence_matrix,
     mod_interval,
     necessary_load_change,

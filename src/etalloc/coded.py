@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import TaskAllocation, require_valid
+from .core import TaskAllocation, holder_classes, require_valid
 from .engine import ElasticTrace, TraceRunner
 
 __all__ = [
@@ -145,24 +145,16 @@ def execute_round(job: CodedJob, alloc: TaskAllocation,
     stragglers = set(stragglers)
     x = job.vector if vector is None else np.asarray(vector, dtype=float)
     k = job.recovery_threshold
-    covering: dict[int, list[int]] = {f: [] for f in range(job.n_tasks)}
-    for m in alloc.machine_ids:
-        if m in stragglers:
-            continue
-        for f in alloc.task_sets[m]:
-            covering[f].append(m)
-    rows_per_piece = job.shards.shape[2]
-    blocks = []
-    for f in range(job.n_tasks):
-        available = sorted(covering[f])[:k]
+    blocks = np.empty((job.n_tasks, k * job.shards.shape[2]))
+    for holders, tasks in holder_classes(alloc).items():
+        available = [m for m in holders if m not in stragglers][:k]
         if len(available) < k:
-            return RoundResult(recovered=False, unrecoverable_task=f)
-        results = np.stack([compute_subtask(job, m, f, x).block for m in available])
+            return RoundResult(recovered=False, unrecoverable_task=tasks[0])
         square = job.generator[[m - 1 for m in available]]
-        pieces = np.linalg.solve(square, results)
-        blocks.append(pieces.reshape(k * rows_per_piece))
-    product = np.concatenate(blocks)[:job.matrix.shape[0]]
-    return RoundResult(recovered=True, product=product)
+        for f in tasks:
+            results = np.stack([compute_subtask(job, m, f, x).block for m in available])
+            blocks[f] = np.linalg.solve(square, results).reshape(blocks.shape[1])
+    return RoundResult(recovered=True, product=blocks.reshape(-1)[:job.matrix.shape[0]])
 
 
 def plain_regression_trajectory(data: np.ndarray, targets: np.ndarray, steps: int,

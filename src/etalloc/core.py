@@ -31,6 +31,7 @@ __all__ = [
     "ValidationReport",
     "mod_interval",
     "validate_tas",
+    "holder_classes",
     "incidence_matrix",
     "necessary_load_change",
     "transition_waste",
@@ -110,8 +111,9 @@ class TaskAllocation:
     machine_ids: tuple[int, ...]
     task_sets: Mapping[int, frozenset[int]] = field(repr=False)
 
-    # Set per instance by require_valid once validate_tas has passed.
+    # Set per instance by require_valid and holder_classes.
     _validated = False
+    _holder_classes = None
 
     def __post_init__(self):
         self._check_shape()
@@ -177,9 +179,6 @@ class TaskAllocation:
     def position(self, machine: int) -> int:
         """1-based position of ``machine`` in the allocation order."""
         return self.machine_ids.index(machine) + 1
-
-    def sets_in_order(self) -> tuple[frozenset[int], ...]:
-        return tuple(self.task_sets[m] for m in self.machine_ids)
 
 
 @dataclass(frozen=True)
@@ -286,6 +285,33 @@ def require_valid(alloc: TaskAllocation, context: str = "allocation") -> None:
             + (f" (+{len(report.violations) - 1} more)" if len(report.violations) > 1 else ""),
             report.violations)
     object.__setattr__(alloc, "_validated", True)
+
+
+def holder_classes(alloc: TaskAllocation) -> Mapping[tuple[int, ...], tuple[int, ...]]:
+    """Read-only map from each holder set (labels ascending) to its tasks (ascending).
+
+    Classes come in order of their least task.  An allocation is immutable,
+    so the map is built once, on first use, and remembered on it.
+    """
+    if alloc._holder_classes is None:
+        require_valid(alloc)
+        object.__setattr__(alloc, "_holder_classes", _group_by_holders(alloc))
+    return alloc._holder_classes
+
+
+def _group_by_holders(alloc: TaskAllocation) -> Mapping[tuple[int, ...], tuple[int, ...]]:
+    """The classes of :func:`holder_classes`, keyed first by one machine bitmask per task."""
+    labels = sorted(alloc.machine_ids)
+    keys = [0] * alloc.n_tasks
+    for i, m in enumerate(labels):
+        bit = 1 << i
+        for t in alloc.task_sets[m]:
+            keys[t] |= bit
+    groups: dict[int, list[int]] = {}
+    for t, key in enumerate(keys):
+        groups.setdefault(key, []).append(t)
+    return MappingProxyType({tuple(m for i, m in enumerate(labels) if key >> i & 1): tuple(tasks)
+                             for key, tasks in groups.items()})
 
 
 def incidence_matrix(alloc: TaskAllocation) -> np.ndarray:

@@ -43,16 +43,13 @@ __all__ = [
 class ShiftedCyclicParams:
     """Parameters of a shifted cyclic (N, L, F) allocation.
 
-    ``shift`` is reduced mod F.  ``step`` records the shift granularity
-    F/(N(N+1)) or F/(N(N-1)) of the transition that produced these parameters,
-    when one did.
+    ``shift`` is reduced mod F.
     """
 
     n_machines: int
     redundancy: int
     n_tasks: int
     shift: int = 0
-    step: int | None = None
 
     def __post_init__(self):
         if self.n_tasks % self.n_machines != 0:
@@ -200,7 +197,7 @@ def optimal_shift_join(n_machines: int, redundancy: int, n_tasks: int,
         waste = (n - l - 1) * (n - l + 1) * f // (2 * n * (n + 1))
     else:
         waste = (n - l) * (n - l) * f // (2 * n * (n + 1))
-    return ShiftedCyclicParams(n + 1, l, f, shift, step), waste
+    return ShiftedCyclicParams(n + 1, l, f, shift), waste
 
 
 def optimal_shift_leave(n_machines: int, redundancy: int, n_tasks: int,
@@ -223,7 +220,7 @@ def optimal_shift_leave(n_machines: int, redundancy: int, n_tasks: int,
         waste = (n - l - 1) * (n - l - 1) * f // (2 * n * (n - 1))
     else:
         waste = (n - l) * (n - l - 2) * f // (2 * n * (n - 1))
-    return ShiftedCyclicParams(n - 1, l, f, shift, step), waste
+    return ShiftedCyclicParams(n - 1, l, f, shift), waste
 
 
 def shifted_join_waste_piecewise(n_machines: int, redundancy: int, n_tasks: int,

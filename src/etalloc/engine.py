@@ -3,16 +3,19 @@
 A trace is an initial pool plus an ordered stream of joins and leaves.  The
 engine applies each event, keeps the live allocation a valid TAS throughout,
 and measures every transition's waste by set arithmetic (closed forms are
-assertions elsewhere, never the source of truth here).  The zero-waste
-strategy tracks its history as a transition tree: leaves descend to a child
-state, joins climb back to the parent.
+assertions elsewhere, never the source of truth here).  A zero-waste runner
+keeps a stack of the states it left, and a join climbs back to the last one.
+A :class:`TransitionTree` does not serve as that stack: it memoises every
+child it visits, so its memory grows with the leaves of a long walk, while the
+stack holds at most n_max - n_min states; and degraded fallback states are
+not tree nodes.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import cyclic as cyc
 from .core import (
@@ -86,8 +89,10 @@ class ElasticTrace:
             raise ValueError("label_policy must be 'fresh' or 'reuse'")
         object.__setattr__(self, "events", tuple(self.events))
         low = self.n_min if self.n_min is not None else self.redundancy
+        if low < self.redundancy:
+            raise ValueError(f"n_min={low} is below the redundancy {self.redundancy}")
         count = self.initial_machines
-        if not low <= count <= (self.n_max or count):
+        if not low <= count <= (self.n_max if self.n_max is not None else count):
             raise ValueError(
                 f"initial machine count {count} outside [{low}, {self.n_max}]")
         for i, event in enumerate(self.events):
@@ -336,10 +341,6 @@ class TransitionTree:
     root: TreeNode
     n_min: int
 
-    @property
-    def n_max(self) -> int:
-        return self.root.allocation.n_machines
-
     def child(self, node: TreeNode, leaver: int) -> TreeNode:
         """The state after ``leaver`` departs from ``node``, expanding on demand."""
         if node.allocation.n_machines <= self.n_min:
@@ -369,13 +370,6 @@ class TransitionTree:
                 for leaver in sorted(node.allocation.machine_ids):
                     stack.append(self.child(node, leaver))
         return count
-
-    def iter_nodes(self) -> Iterable[TreeNode]:
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(node.children.values())
 
 
 def build_transition_tree(root_alloc: TaskAllocation, n_min: int) -> TransitionTree:

@@ -15,12 +15,15 @@ import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Mapping
 
 from .core import (
     DivisibilityError,
     InfeasibleTransitionError,
     TaskAllocation,
     TransitionOutcome,
+    holder_classes,
     require_valid,
     transition_waste,
 )
@@ -47,16 +50,23 @@ _MAX_ENUMERATION_MACHINES = 20
 class TransitionGraph:
     """Bipartite graph between surviving machines and the leaver's tasks.
 
-    ``neighbors[u]`` holds the leaver tasks machine ``u`` does not already own.
-    ``delta`` is the required per-machine intake, or None when it is not an
-    integer (in which case no balanced (N-1)-allocation exists at all).
+    ``classes`` maps the survivors that hold each class of the leaver's tasks
+    to its tasks; a survivor can absorb the classes it is not in.  ``delta`` is
+    the required per-machine intake, or None when it is not an integer (in
+    which case no balanced (N-1)-allocation exists at all).
     """
 
     leaver: int
     left: tuple[int, ...]
     right: tuple[int, ...]
-    neighbors: dict[int, frozenset[int]]
+    classes: dict[tuple[int, ...], tuple[int, ...]]
     delta: int | None
+
+    @cached_property
+    def neighbors(self) -> dict[int, frozenset[int]]:
+        """The leaver tasks each survivor does not own, derived from ``classes`` on first read."""
+        return {u: frozenset().union(*(tasks for holders, tasks in self.classes.items()
+                                       if u not in holders)) for u in self.left}
 
 
 @dataclass(frozen=True)
@@ -71,8 +81,9 @@ class DeltaMatching:
         if set(self.assignment) != set(graph.right):
             raise ValueError("matching does not cover the task side exactly once")
         intake: dict[int, int] = {u: 0 for u in graph.left}
+        held_by = {t: holders for holders, tasks in graph.classes.items() for t in tasks}
         for task, machine in self.assignment.items():
-            if task not in graph.neighbors[machine]:
+            if machine in held_by[task] or machine not in intake:
                 raise ValueError(f"pair (machine {machine}, task {task}) is not an edge")
             intake[machine] += 1
         bad = {u: c for u, c in intake.items() if c != self.delta}
@@ -123,13 +134,12 @@ def build_transition_graph(alloc: TaskAllocation, leaver: int) -> TransitionGrap
     if leaver not in alloc.task_sets:
         raise ValueError(f"machine {leaver} is not active")
     n, l, f = alloc.n_machines, alloc.redundancy, alloc.n_tasks
-    leaving_tasks = alloc.task_sets[leaver]
-    left = tuple(m for m in alloc.machine_ids if m != leaver)
-    neighbors = {u: leaving_tasks - alloc.task_sets[u] for u in left}
+    classes = {tuple(m for m in holders if m != leaver): tasks
+               for holders, tasks in holder_classes(alloc).items() if leaver in holders}
     delta = (l * f) // (n * (n - 1)) if n > 1 and (l * f) % (n * (n - 1)) == 0 else None
     return TransitionGraph(
-        leaver=leaver, left=left, right=tuple(sorted(leaving_tasks)),
-        neighbors=neighbors, delta=delta)
+        leaver=leaver, left=tuple(m for m in alloc.machine_ids if m != leaver),
+        right=tuple(sorted(alloc.task_sets[leaver])), classes=classes, delta=delta)
 
 
 def hall_feasible_for_leaver(alloc: TaskAllocation, leaver: int) -> HallResult:
@@ -175,30 +185,26 @@ def hall_feasible_all_leavers(alloc: TaskAllocation) -> HallResult:
         raise DivisibilityError(
             f"per-machine intake is not an integer: {n * (n - 1)} must divide {l * f}")
     delta = (l * f) // (n * (n - 1))
-    holders: list[list[int]] = [[] for _ in range(f)]
-    for m in sorted(alloc.machine_ids):
-        for t in alloc.task_sets[m]:
-            holders[t].append(m)
-    holder_sets = Counter(map(tuple, holders))
+    classes = holder_classes(alloc)
     pair_common: Counter[tuple[int, int]] = Counter()
-    for holder_set, size in holder_sets.items():
+    for holder_set, tasks in classes.items():
         for pair in itertools.combinations(holder_set, 2):
-            pair_common[pair] += size
+            pair_common[pair] += len(tasks)
     if max(pair_common.values(), default=0) <= (n - l) * delta:
         return HallResult(feasible=True)
-    witness = _first_violating_subset(holder_sets, n, delta)
+    witness = _first_violating_subset(classes, n, delta)
     return HallResult(feasible=witness is None, witness=witness)
 
 
-def _first_violating_subset(holder_sets: Counter[tuple[int, ...]], n: int,
+def _first_violating_subset(classes: Mapping[tuple[int, ...], tuple[int, ...]], n: int,
                             delta: int) -> tuple[int, ...] | None:
     """The least (size, labels) subset of 2+ co-holders sharing more than
     (N - size) * delta tasks, counted over every subset of every holder set."""
     common: Counter[tuple[int, ...]] = Counter()
-    for holder_set, size in holder_sets.items():
+    for holder_set, tasks in classes.items():
         for k in range(2, len(holder_set) + 1):
             for subset in itertools.combinations(holder_set, k):
-                common[subset] += size
+                common[subset] += len(tasks)
     violating = [s for s, c in common.items() if c > (n - len(s)) * delta]
     return min(violating, key=lambda s: (len(s), s)) if violating else None
 
@@ -345,42 +351,33 @@ def _delta_flow(graph: TransitionGraph) -> DeltaMatching | tuple[int, ...]:
     """The perfect Delta-matching of ``graph``, or a Hall witness that none exists.
 
     Tasks held by the same survivors can go to the same machines, so the flow
-    runs on holder-set classes: source -> machine (capacity delta) -> class
+    runs on ``graph.classes``: source -> machine (capacity delta) -> class
     (class size) -> sink (class size).  A saturating flow expands to tasks in a
     fixed order: each class hands its tasks out ascending, to its machines in
     ``graph.left`` order.  Otherwise the witness is the survivors J the source
     still reaches, ascending: the minimum cut around J is below delta*(N-1) and
     at least delta*(N-1-|J|) + |N(J)|, so |N(J)| < delta*|J|.
     """
-    # Bit i of a task's key marks it as held (not absorbable) by graph.left[i].
-    key = dict.fromkeys(graph.right, 0)
-    right = frozenset(graph.right)
-    for i, u in enumerate(graph.left):
-        bit = 1 << i
-        for v in right - graph.neighbors[u]:
-            key[v] |= bit
-    classes: dict[int, list[int]] = {}
-    for v in graph.right:
-        classes.setdefault(key[v], []).append(v)
-    class_node = {k: 1 + len(graph.left) + j for j, k in enumerate(classes)}
-    sink = 1 + len(graph.left) + len(classes)
+    classes = list(graph.classes.items())
+    first_class = 1 + len(graph.left)
+    sink = first_class + len(classes)
     net = _ResidualNetwork(sink + 1)
     for i in range(len(graph.left)):
         net.add_edge(0, 1 + i, graph.delta)
     edge_index: list[tuple[int, int, int]] = []
     for i, u in enumerate(graph.left):
-        for k, tasks in classes.items():
-            if not k >> i & 1:
-                edge_index.append((net.add_edge(1 + i, class_node[k], len(tasks)), u, k))
-    for k, tasks in classes.items():
-        net.add_edge(class_node[k], sink, len(tasks))
+        for j, (holders, tasks) in enumerate(classes):
+            if u not in holders:
+                edge_index.append((net.add_edge(1 + i, first_class + j, len(tasks)), u, j))
+    for j, (_, tasks) in enumerate(classes):
+        net.add_edge(first_class + j, sink, len(tasks))
     if net.max_flow(0, sink) != len(graph.right):
         return tuple(sorted(u for i, u in enumerate(graph.left) if net.level[1 + i] >= 0))
-    pending = {k: iter(tasks) for k, tasks in classes.items()}
+    pending = [iter(tasks) for _, tasks in classes]
     assignment = {}
-    for idx, u, k in edge_index:
+    for idx, u, j in edge_index:
         for _ in range(net.cap[idx ^ 1]):
-            assignment[next(pending[k])] = u
+            assignment[next(pending[j])] = u
     matching = DeltaMatching(assignment=assignment, delta=graph.delta)
     matching.check(graph)
     return matching
@@ -394,8 +391,6 @@ def find_delta_matching(graph: TransitionGraph) -> DeltaMatching | None:
     """
     if graph.delta is None:
         raise DivisibilityError("matching needs an integral per-machine intake")
-    if not graph.right:
-        return DeltaMatching(assignment={}, delta=graph.delta)
     if graph.delta * len(graph.left) != len(graph.right):
         return None
     found = _delta_flow(graph)
@@ -451,29 +446,23 @@ def best_effort_leave(alloc: TaskAllocation, leaver: int) -> TransitionOutcome:
         raise DivisibilityError(
             f"no balanced allocation on {n - 1} machines: {n - 1} does not divide {l * f}")
     survivors = tuple(m for m in alloc.machine_ids if m != leaver)
-    load = l * f // (n - 1)
-    kept = [0] * f
-    for m in survivors:
-        for t in alloc.task_sets[m]:
-            kept[t] += 1
-    task_node = {t: 1 + t for t in range(f)}
+    leaving = alloc.task_sets[leaver]
     machine_node = {m: 1 + f + i for i, m in enumerate(survivors)}
     sink = 1 + f + len(survivors)
     net = _ResidualNetwork(sink + 1)
     # Warm start: every incidence a survivor keeps already carries its unit at
-    # cost 0, so the residual graph has no negative arc and only the leaver's
-    # L*F/N units are left to route.
-    for t in range(f):
-        net.add_edge(0, task_node[t], l, flow=kept[t])
+    # cost 0, so a task keeps L units less one if the leaver held it, the
+    # residual graph has no negative arc and only the leaver's L*F/N units are
+    # left to route.
     edge_of: dict[int, tuple[int, int]] = {}
     for t in range(f):
+        net.add_edge(0, 1 + t, l, flow=l - (t in leaving))
         for m in survivors:
             keep = int(t in alloc.task_sets[m])
-            edge_of[net.add_edge(task_node[t], machine_node[m], 1, 1 - keep,
-                                 flow=keep)] = (t, m)
+            edge_of[net.add_edge(1 + t, machine_node[m], 1, 1 - keep, flow=keep)] = (t, m)
     for m in survivors:
-        net.add_edge(machine_node[m], sink, load, flow=len(alloc.task_sets[m]))
-    net.min_cost_flow(0, sink, l * f - sum(kept))
+        net.add_edge(machine_node[m], sink, l * f // (n - 1), flow=len(alloc.task_sets[m]))
+    net.min_cost_flow(0, sink, len(leaving))
     new_sets: dict[int, set[int]] = {m: set() for m in survivors}
     for idx, (t, m) in edge_of.items():
         if net.cap[idx] == 0:

@@ -3,20 +3,25 @@
 Each function here is the direct formulation the package's code refines:
 one flow node per task, every machine subset enumerated, a min-cost flow
 that routes all L*F units from an empty flow, a per-element coverage tally,
-a per-element modular interval, and finite-field arithmetic that decodes
-digits and reduces a polynomial on every call.  They are slow on purpose and
-live only in the tests.
+a per-element modular interval, finite-field arithmetic that decodes
+digits and reduces a polynomial on every call, and each task's holders found
+by set membership rather than read from the allocation's class index.  They
+are slow on purpose and live only in the tests.
 """
 
 from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
 from etalloc import (
+    CodedJob,
     Configuration,
     DeltaMatching,
     DivisibilityError,
     HallResult,
+    RoundResult,
     TaskAllocation,
     TransitionGraph,
     TransitionOutcome,
@@ -31,7 +36,46 @@ from etalloc.configurations import (
     _prime_power,
     _projective_points,
 )
+from etalloc.coded import compute_subtask
 from etalloc.zero_waste import _ResidualNetwork
+
+
+def holder_classes_by_membership(alloc: TaskAllocation) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Each task's holders, ascending, found by testing it against every set;
+    tasks grouped by holders in order of their least task."""
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for t in range(alloc.n_tasks):
+        holders = tuple(m for m in sorted(alloc.machine_ids) if t in alloc.task_sets[m])
+        classes.setdefault(holders, []).append(t)
+    return {holders: tuple(tasks) for holders, tasks in classes.items()}
+
+
+def neighbors_by_difference(alloc: TaskAllocation, leaver: int) -> dict[int, frozenset[int]]:
+    """The leaver tasks each survivor could absorb: S_leaver minus S_u."""
+    return {u: alloc.task_sets[leaver] - alloc.task_sets[u]
+            for u in alloc.machine_ids if u != leaver}
+
+
+def execute_round_per_task(job: CodedJob, alloc: TaskAllocation, stragglers=(),
+                           vector=None) -> RoundResult:
+    """Decode task by task from per-task lists of the non-straggling machines
+    covering it, stopping at the first task with fewer than L-E of them."""
+    x = job.vector if vector is None else np.asarray(vector, dtype=float)
+    k = job.recovery_threshold
+    covering: dict[int, list[int]] = {f: [] for f in range(job.n_tasks)}
+    for m in alloc.machine_ids:
+        if m not in set(stragglers):
+            for f in alloc.task_sets[m]:
+                covering[f].append(m)
+    blocks = []
+    for f in range(job.n_tasks):
+        available = sorted(covering[f])[:k]
+        if len(available) < k:
+            return RoundResult(recovered=False, unrecoverable_task=f)
+        results = np.stack([compute_subtask(job, m, f, x).block for m in available])
+        pieces = np.linalg.solve(job.generator[[m - 1 for m in available]], results)
+        blocks.append(pieces.reshape(-1))
+    return RoundResult(recovered=True, product=np.concatenate(blocks)[:job.matrix.shape[0]])
 
 
 def find_delta_matching_per_task(graph: TransitionGraph) -> DeltaMatching | None:
@@ -39,9 +83,7 @@ def find_delta_matching_per_task(graph: TransitionGraph) -> DeltaMatching | None
     if graph.delta is None:
         raise DivisibilityError("matching needs an integral per-machine intake")
     if graph.delta * len(graph.left) != len(graph.right):
-        return DeltaMatching(assignment={}, delta=graph.delta) if not graph.right else None
-    if not graph.right:
-        return DeltaMatching(assignment={}, delta=graph.delta)
+        return None
     machine_node = {u: 1 + i for i, u in enumerate(graph.left)}
     task_node = {v: 1 + len(graph.left) + j for j, v in enumerate(graph.right)}
     sink = 1 + len(graph.left) + len(graph.right)

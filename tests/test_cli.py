@@ -165,7 +165,8 @@ class TestTransition:
     def test_detection_rejects_non_cyclic_allocations(self):
         assert _detect_shift(perturbed(cyclic_allocation(range(1, 7), 2, 30, 4),
                                        random.Random(2), 3)) is None
-        sets = list(cyclic_allocation(range(1, 6), 3, 20, 5).sets_in_order())
+        alloc = cyclic_allocation(range(1, 6), 3, 20, 5)
+        sets = [alloc.task_sets[m] for m in alloc.machine_ids]
         sets[1], sets[2] = sets[2], sets[1]
         assert _detect_shift(TaskAllocation.from_sets(sets, 3, 20)) is None
 
@@ -359,6 +360,18 @@ class TestSimulate:
         path.write_text(json.dumps(trace_to_document(trace)))
         code, _, err = run(["simulate", "--trace", str(path)], capsys)
         assert code == 0 and "cumulative waste 0" in err
+
+    @pytest.mark.parametrize("initial, message", [
+        ({"n0": 5, "l": 3, "f": 20, "nmax": 0}, "outside [3, 0]"),
+        ({"n0": 3, "l": 3, "f": 6, "strategy": "zero_waste", "nmin": 0},
+         "n_min=0 is below the redundancy 3"),
+    ])
+    def test_trace_bounds_are_usage_errors(self, tmp_path, capsys, initial, message):
+        path = tmp_path / "bounds.json"
+        path.write_text(json.dumps({"initial": initial,
+                                    "events": [{"kind": "leave", "machine": 3}]}))
+        code, out, err = run(["simulate", "--trace", str(path)], capsys)
+        assert code == 2 and not out and message in err
 
     def test_infeasible_trace_exits_one(self, tmp_path, capsys):
         trace = ElasticTrace(initial_machines=4, redundancy=2, n_tasks=12,

@@ -2,9 +2,11 @@
 
 import itertools
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from etalloc import (
     ElasticEvent,
@@ -16,6 +18,9 @@ from etalloc import (
     plain_regression_trajectory,
 )
 from etalloc.coded import load_matrix, save_matrix
+
+from oracles import execute_round_per_task
+from test_zero_waste import ORACLE_SETTINGS, pools
 
 RNG = np.random.default_rng(42)
 
@@ -146,6 +151,35 @@ class TestExecuteRound:
             outcome = execute_round(self.job, alloc, {straggler})
             assert outcome.recovered
             assert np.allclose(outcome.product, baseline, rtol=1e-9, atol=1e-12)
+
+
+def test_class_decode_matches_the_per_task_oracle():
+    # With E stragglers every round recovers; with E+1 some pools lose a
+    # class, and the reported task must be the oracle's least failing task.
+    outcomes = Counter()
+
+    @ORACLE_SETTINGS
+    @given(pools(), st.integers(0, 2**32 - 1))
+    def check(alloc, seed):
+        rng = random.Random(seed)
+        e = rng.randrange(alloc.redundancy)
+        data = np.random.default_rng(seed)
+        k = alloc.redundancy - e
+        job = encode_job(data.normal(size=(alloc.n_tasks * k + 1, 3)), data.normal(size=3),
+                         alloc.n_tasks, alloc.redundancy, e, max(alloc.machine_ids))
+        for count in (e, e + 1):
+            stragglers = rng.sample(alloc.machine_ids, count)
+            got = execute_round(job, alloc, stragglers)
+            want = execute_round_per_task(job, alloc, stragglers)
+            assert (got.recovered, got.unrecoverable_task) == (
+                want.recovered, want.unrecoverable_task)
+            assert got.recovered or count > e
+            if want.recovered:
+                assert np.array_equal(got.product, want.product)
+            outcomes[got.recovered] += 1
+
+    check()
+    assert outcomes[True] and outcomes[False]
 
 
 class TestElasticRegression:

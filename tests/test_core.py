@@ -16,6 +16,7 @@ from etalloc import (
     cyclic_tas,
     cyclic_tas_after_leave,
     fano_plane,
+    holder_classes,
     incidence_matrix,
     mod_interval,
     necessary_load_change,
@@ -182,6 +183,28 @@ class TestBoundaryNormalisation:
         alloc = cyclic_tas(5, 3, 20)
         assert pickle.loads(pickle.dumps(alloc)) == alloc
         assert copy.deepcopy(alloc) == alloc
+
+
+class TestHolderClasses:
+    def test_classes_by_least_task_with_labels_ascending(self):
+        alloc = TaskAllocation.from_sets([{0, 1, 2, 3}, {2, 3, 4, 5}, {0, 1, 4, 5}],
+                                         redundancy=2, n_tasks=6, machine_ids=(7, 3, 5))
+        assert list(holder_classes(alloc).items()) == [
+            ((5, 7), (0, 1)), ((3, 7), (2, 3)), ((3, 5), (4, 5))]
+
+    def test_read_only_and_remembered(self):
+        alloc = cyclic_tas(5, 3, 20)
+        classes = holder_classes(alloc)
+        assert holder_classes(alloc) is classes
+        with pytest.raises(TypeError):
+            classes[(1, 2, 3)] = ()
+        assert holder_classes(copy.deepcopy(alloc)) == classes
+
+    def test_invalid_allocation_rejected(self):
+        alloc = TaskAllocation.from_sets(
+            [{0, 1, 2, 3}, {2, 3, 4, 5}, {4, 5, 0, 2}], redundancy=2, n_tasks=6)
+        with pytest.raises(AllocationError):
+            holder_classes(alloc)
 
 
 class TestIncidenceMatrix:

@@ -28,7 +28,7 @@ from etalloc import (
 )
 from etalloc import core, zero_waste
 from etalloc.checks import doubled_block_tas, perturbed
-from etalloc.engine import report_rows, report_to_document
+from etalloc.engine import STRATEGIES, report_rows, report_to_document
 
 FIG1_TRACE = ElasticTrace(initial_machines=5, redundancy=3, n_tasks=20,
                           events=(ElasticEvent.leave(5),))
@@ -284,6 +284,23 @@ class TestBoundsAndLabels:
             ElasticTrace(initial_machines=3, redundancy=2, n_tasks=12, n_max=3,
                          events=(ElasticEvent.join(),))
 
+    def test_zero_n_max_is_a_bound(self):
+        with pytest.raises(ValueError, match=r"initial machine count 5 outside \[3, 0\]"):
+            ElasticTrace(5, 3, 20, n_max=0)
+        with pytest.raises(ValueError, match="initial machine count"):
+            ElasticTrace(5, 3, 20, n_max=0, events=(ElasticEvent.leave(5),))
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_n_min_below_redundancy_rejected(self, strategy):
+        # A leave to N-1 < L would otherwise escape as a bare ValueError or,
+        # under zero_waste, as an infeasible leave with a meaningless witness.
+        with pytest.raises(ValueError, match="n_min=0 is below the redundancy 3"):
+            ElasticTrace(3, 3, 6, strategy=strategy, n_min=0,
+                         events=(ElasticEvent.leave(3),))
+        with pytest.raises(ValueError, match="below the redundancy"):
+            ElasticTrace(4, 3, 12, strategy=strategy, n_min=2)
+        assert ElasticTrace(4, 3, 12, strategy=strategy, n_min=3).n_min == 3
+
     def test_runtime_leave_of_unknown_machine(self):
         trace = ElasticTrace(initial_machines=4, redundancy=2, n_tasks=20)
         runner = TraceRunner(trace)
@@ -372,7 +389,10 @@ class TestTransitionTree:
         alloc = tas_from_configuration(fano_plane(), 420)
         tree = build_transition_tree(alloc, n_min=5)
         tree.expand_fully()
-        for node in tree.iter_nodes():
+        stack = [tree.root]
+        while stack:
+            node = stack.pop()
+            stack.extend(node.children.values())
             assert validate_tas(node.allocation).ok
             if node.parent is not None:
                 outcome = transition_waste(node.parent.allocation, node.allocation,

@@ -11,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 from etalloc import (
     DeltaMatching,
     DivisibilityError,
+    ElasticEvent,
+    ElasticTrace,
     TaskAllocation,
     TransitionGraph,
     best_effort_leave,
@@ -21,8 +23,10 @@ from etalloc import (
     find_delta_matching,
     hall_feasible_all_leavers,
     hall_feasible_for_leaver,
+    holder_classes,
     projective_plane,
     random_tas,
+    run_trace,
     tas_from_configuration,
     transition_waste,
     validate_tas,
@@ -30,13 +34,15 @@ from etalloc import (
     zero_waste_leave,
 )
 from etalloc.checks import doubled_block_tas, perturbed
-from etalloc import zero_waste
+from etalloc import core, zero_waste
 from etalloc.zero_waste import infeasible_leave_error
 
 from oracles import (
     best_effort_leave_cold,
     find_delta_matching_per_task,
     hall_feasible_all_leavers_enumerated,
+    holder_classes_by_membership,
+    neighbors_by_difference,
 )
 
 FIG1A = cyclic_tas(5, 3, 20)
@@ -200,16 +206,34 @@ class TestDeltaMatching:
             0: 3, 1: 3, 7: 3, 4: 4, 5: 4, 6: 4}, delta=3)
         witness.check(graph)
 
+    def test_check_rejects_a_task_its_machine_already_holds(self):
+        graph = build_transition_graph(FIG1A, 5)
+        published = {17: 1, 18: 1, 19: 1, 2: 2, 3: 2, 16: 2,
+                     0: 3, 1: 3, 7: 3, 4: 4, 5: 4, 6: 4}
+        # Machine 1 already holds task 0; task 17 is one machine 2 could take.
+        held = {**published, 0: 1, 17: 2}
+        with pytest.raises(ValueError, match=r"pair \(machine 1, task 0\) is not an edge"):
+            DeltaMatching(assignment=held, delta=3).check(graph)
+        with pytest.raises(ValueError, match="is not an edge"):
+            DeltaMatching(assignment={**published, 0: 5}, delta=3).check(graph)
+
     def test_empty_task_side_gives_empty_matching(self):
-        graph = TransitionGraph(leaver=9, left=(1, 2), right=(),
-                                neighbors={1: frozenset(), 2: frozenset()}, delta=0)
+        graph = TransitionGraph(leaver=9, left=(1, 2), right=(), classes={}, delta=0)
         matching = find_delta_matching(graph)
         assert matching.assignment == {}
+        matching.check(graph)
+
+    def test_empty_task_side_with_positive_intake_has_no_matching(self):
+        # Two survivors that must take three tasks each from a leaver holding none.
+        graph = TransitionGraph(leaver=9, left=(1, 2), right=(), classes={}, delta=3)
+        assert find_delta_matching(graph) is None
+        assert find_delta_matching_per_task(graph) is None
 
     def test_isolated_task_vertex_is_infeasible(self):
-        graph = TransitionGraph(
-            leaver=9, left=(1, 2), right=(0, 1),
-            neighbors={1: frozenset({0}), 2: frozenset({0})}, delta=1)
+        # Task 0 is held by neither survivor, task 1 by both.
+        graph = TransitionGraph(leaver=9, left=(1, 2), right=(0, 1),
+                                classes={(): (0,), (1, 2): (1,)}, delta=1)
+        assert graph.neighbors == {1: frozenset({0}), 2: frozenset({0})}
         assert find_delta_matching(graph) is None
 
     def test_determinism(self):
@@ -282,8 +306,8 @@ def pools(draw):
     else:
         alloc = doubled_block_tas(*draw(st.sampled_from(DOUBLED_SHAPES)))
     labels = rng.sample(range(1, 3 * alloc.n_machines), alloc.n_machines)
-    alloc = TaskAllocation.from_sets(alloc.sets_in_order(), alloc.redundancy,
-                                     alloc.n_tasks, machine_ids=labels)
+    alloc = TaskAllocation.from_sets([alloc.task_sets[m] for m in alloc.machine_ids],
+                                     alloc.redundancy, alloc.n_tasks, machine_ids=labels)
     swaps = draw(st.integers(0, 8))
     return perturbed(alloc, rng, swaps) if swaps else alloc
 
@@ -423,6 +447,59 @@ class TestBestEffortLeave:
     def test_guards(self):
         with pytest.raises(ValueError):
             best_effort_leave(cyclic_tas(3, 3, 6), 1)
+
+
+class TestHolderClassIndex:
+    @ORACLE_SETTINGS
+    @given(pools())
+    def test_classes_equal_the_membership_oracle_in_order(self, alloc):
+        assert list(holder_classes(alloc).items()) == list(
+            holder_classes_by_membership(alloc).items())
+
+    @ORACLE_SETTINGS
+    @given(pools())
+    def test_neighbors_equal_the_set_differences(self, alloc):
+        for leaver in alloc.machine_ids:
+            graph = build_transition_graph(alloc, leaver)
+            assert graph.neighbors == neighbors_by_difference(alloc, leaver)
+
+    def test_certificate_then_leaves_build_the_index_once_per_allocation(self):
+        builds = Counter()
+        group = core._group_by_holders
+
+        def counted(alloc):
+            builds[id(alloc)] += 1
+            return group(alloc)
+
+        pool = tas_from_configuration(fano_plane(), 420)
+        with mock.patch.object(core, "_group_by_holders", counted):
+            assert hall_feasible_all_leavers(pool).feasible
+            first = zero_waste_leave(pool, 1)
+            again = zero_waste_leave(pool, 2)
+            second = zero_waste_leave(first.new_alloc, 3)
+        assert first and again and second
+        assert builds == {id(pool): 1, id(first.new_alloc): 1}
+
+    def test_engine_zero_waste_leaves_never_derive_neighbors(self):
+        reads = Counter()
+        derive = TransitionGraph.__dict__["neighbors"].func
+
+        def counted(graph):
+            reads["neighbors"] += 1
+            return derive(graph)
+
+        fano = tas_from_configuration(fano_plane(), 420)
+        feasible = ElasticTrace(7, 3, 420, strategy="zero_waste", seed_allocation=fano,
+                                events=(ElasticEvent.leave(3), ElasticEvent.leave(5),
+                                        ElasticEvent.join(), ElasticEvent.leave(1)))
+        fallback = ElasticTrace(4, 2, 12, strategy="zero_waste_with_fallback",
+                                seed_allocation=DOUBLED, events=(ElasticEvent.leave(1),))
+        with mock.patch.object(TransitionGraph, "neighbors", property(counted)):
+            assert run_trace(feasible).cumulative_waste == 0
+            assert run_trace(fallback).infeasible_count == 1
+            assert not reads
+            build_transition_graph(fano, 1).neighbors
+        assert reads["neighbors"] == 1
 
 
 class TestRandomTas:
