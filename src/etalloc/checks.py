@@ -18,7 +18,6 @@ from . import cyclic as cyc
 from .coded import elastic_linear_regression, encode_job, execute_round, \
     plain_regression_trajectory
 from .configurations import (
-    family_zero_waste_range,
     fano_plane,
     projective_plane,
     tas_from_configuration,
@@ -277,7 +276,7 @@ def probe_zero_waste_depth(alloc, floor: int) -> dict[int, tuple[int, int]]:
 
 
 def verify_zwr(family: str = "fano") -> list[CheckResult]:
-    """Range formulas, family table agreement, and the exhaustive Fano-range drill."""
+    """Range formulas, the exhaustive Fano-range drill, and the family intersection bound."""
     results = []
     if family in ("fano", "all"):
         fano_range = zero_waste_range(7, 3)
@@ -324,23 +323,6 @@ def verify_zwr(family: str = "fano") -> list[CheckResult]:
             "; ".join(f"to {size} machines: {ok} feasible / {bad} infeasible"
                       for size, (ok, bad) in probe.items())))
     if family in ("table", "all"):
-        table_bad = []
-        for f_name, args in (("l3", {"n_max": 7}), ("l3", {"n_max": 9}),
-                             ("l4", {"n_max": 13}), ("l4", {"n_max": 15}),
-                             ("projective", {"q": 2}), ("projective", {"q": 3}),
-                             ("projective", {"q": 4}), ("projective", {"q": 5}),
-                             ("q2", {"q": 3}), ("q2", {"q": 4}), ("q2", {"q": 5}),
-                             ("q2m1", {"q": 3}), ("q2m1", {"q": 4}), ("q2m1", {"q": 5})):
-            family_result = family_zero_waste_range(f_name, **args)
-            l = {"l3": 3, "l4": 4}.get(f_name, (args.get("q", 0) + 1)
-                                       if f_name == "projective" else args.get("q"))
-            general = zero_waste_range(family_result.n_max, l)
-            if (family_result.n_min, family_result.removable) != \
-                    (general.n_min, general.removable):
-                table_bad.append((f_name, args, family_result, general))
-        results.append(CheckResult(
-            "family-specialized ranges agree with the general formula",
-            not table_bad, f"mismatches {table_bad}" if table_bad else ""))
         intersect_bad = []
         for q in (2, 3, 4, 5):
             for config in (projective_plane(q), truncated_plane_q2(q),

@@ -20,8 +20,8 @@ from . import checks
 from . import cyclic as cyc
 from .configurations import (
     ZWR_FAMILIES,
+    _family_parameters,
     configuration_to_json,
-    family_zero_waste_range,
     fano_plane,
     projective_plane,
     tas_from_configuration,
@@ -219,16 +219,21 @@ def _cmd_shift_profile(args) -> int:
 
 
 def _cmd_zwr(args) -> int:
+    takes = ("nmax",) if args.family in ("l3", "l4") else ("q",) if args.family else ("nmax", "l")
+    stray = [f"--{name}" for name in ("q", "nmax", "l")
+             if name not in takes and getattr(args, name) is not None]
+    if stray:
+        mode = f"--family {args.family}" if args.family else "without --family"
+        print(f"zwr {mode} does not take {', '.join(stray)}", file=sys.stderr)
+        return USAGE_ERROR
     if args.family:
-        result = family_zero_waste_range(args.family, q=args.q, n_max=args.nmax)
-        redundancy = {"l3": 3, "l4": 4}.get(
-            args.family, args.q + 1 if args.family == "projective" else args.q)
+        n_max, redundancy = _family_parameters(args.family, args.q, args.nmax)
+    elif args.nmax is None or args.l is None:
+        print("zwr requires --family or both --nmax and --l", file=sys.stderr)
+        return USAGE_ERROR
     else:
-        if args.nmax is None or args.l is None:
-            print("zwr requires --family or both --nmax and --l", file=sys.stderr)
-            return USAGE_ERROR
-        result = zero_waste_range(args.nmax, args.l)
-        redundancy = args.l
+        n_max, redundancy = args.nmax, args.l
+    result = zero_waste_range(n_max, redundancy)
     f = zwr_task_count(result.n_min, result.n_max)
     if args.format == "structured":
         print(json.dumps({

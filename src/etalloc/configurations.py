@@ -12,10 +12,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .core import TaskAllocation, ValidationReport
+from .core import TaskAllocation, ValidationReport, _field
 
 __all__ = [
     "Configuration",
@@ -329,48 +330,27 @@ def family_zero_waste_range(family: str, q: int | None = None,
 
     ``l3``/``l4`` take ``n_max`` (>= 7 and >= 13 respectively, where such
     configurations exist); ``projective``, ``q2`` and ``q2m1`` take a prime
-    power ``q``.  Each family evaluates its own specialized discriminant
-    polynomial and must agree with :func:`zero_waste_range` on (n_max, L).
+    power ``q``.  The family fixes (n_max, L), and :func:`zero_waste_range`
+    gives the range.
     """
+    return zero_waste_range(*_family_parameters(family, q, n_max))
+
+
+def _family_parameters(family: str, q: int | None, n_max: int | None) -> tuple[int, int]:
+    """(n_max, L) of a named configuration family; raises ValueError for a
+    family that does not exist at these parameters."""
     family = family.lower()
     if family in ("l3", "l4"):
-        if n_max is None:
-            raise ValueError(f"family {family!r} needs n_max")
-        if family == "l3":
-            if n_max < 7:
-                raise ValueError("(n,3)-configurations need n_max >= 7")
-            l, a, b = 3, 7 * n_max - 5, 10
-            disc = 9 * n_max ** 2 + 90 * n_max + 25
-        else:
-            if n_max < 13:
-                raise ValueError("(n,4)-configurations need n_max >= 13")
-            l, a, b = 4, 10 * n_max - 7, 14
-            disc = 16 * n_max ** 2 + 280 * n_max + 49
-    elif family in ("projective", "q2", "q2m1"):
-        if q is None:
-            raise ValueError(f"family {family!r} needs q")
-        if not is_prime_power(q):
-            raise ValueError(f"{q} is not a prime power")
-        if family == "projective":
-            l, n_max = q + 1, q * q + q + 1
-            a, b = 3 * q ** 3 + 4 * q ** 2 + 2 * q, 4 * q + 2
-            disc = (q ** 6 + 12 * q ** 5 + 24 * q ** 4 + 24 * q ** 3
-                    + 16 * q ** 2 + 4 * q)
-        elif family == "q2":
-            l, n_max = q, q * q
-            a, b = 3 * q ** 3 - 2 * q ** 2 - 2 * q + 1, 4 * q - 2
-            disc = (q ** 6 + 8 * q ** 5 - 16 * q ** 4 + 6 * q ** 3
-                    + 4 * q ** 2 - 4 * q + 1)
-        else:
-            l, n_max = q, q * q - 1
-            a, b = 3 * q ** 3 - 2 * q ** 2 - 5 * q + 3, 4 * q - 2
-            disc = (q ** 6 + 8 * q ** 5 - 18 * q ** 4 - 2 * q ** 3
-                    + 21 * q ** 2 - 10 * q + 1)
-    else:
+        l, least = (3, 7) if family == "l3" else (4, 13)
+        if n_max is None or n_max < least:
+            raise ValueError(f"(n,{l})-configurations need n_max >= {least}, got {n_max}")
+        return n_max, l
+    if family not in ("projective", "q2", "q2m1"):
         raise ValueError(f"unknown family {family!r}; choose one of {ZWR_FAMILIES}")
-    removable = max(1 + _floor_sub_sqrt(a, disc, b), 0)
-    return ZwrResult(n_max=n_max, n_min=n_max - removable,
-                     removable=removable, discriminant=disc)
+    if q is None or not is_prime_power(q):
+        raise ValueError(f"family {family!r} needs a prime power q, got {q}")
+    return {"projective": (q * q + q + 1, q + 1), "q2": (q * q, q),
+            "q2m1": (q * q - 1, q)}[family]
 
 
 def zwr_task_count(n_min: int, n_max: int) -> int:
@@ -394,10 +374,16 @@ def configuration_to_document(config: Configuration) -> dict:
 
 
 def configuration_from_document(doc: Mapping) -> Configuration:
-    return Configuration(
-        n_points=int(doc["v"]),
-        line_size=int(doc["k"]),
-        lines=tuple(frozenset(int(p) for p in line) for line in doc["lines"]))
+    """Inverse of :func:`configuration_to_document`; each line must be a list of integers."""
+    v, k = _field(doc, "v", "configuration", int), _field(doc, "k", "configuration", int)
+    lines = []
+    for i, line in enumerate(_field(doc, "lines", "configuration", list)):
+        try:
+            lines.append(frozenset(map(operator.index, line)))
+        except TypeError as exc:
+            raise ValueError(
+                f"configuration: line {i + 1} must list integer points: {exc}") from None
+    return Configuration(n_points=v, line_size=k, lines=tuple(lines))
 
 
 def configuration_to_json(config: Configuration) -> str:

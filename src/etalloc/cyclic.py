@@ -58,28 +58,19 @@ class ShiftedCyclicParams:
         object.__setattr__(self, "shift", self.shift % self.n_tasks)
 
 
-def _check_cyclic_divisibility(n_machines: int, redundancy: int, n_tasks: int) -> None:
-    if not 0 < redundancy <= n_machines:
-        raise ValueError(
-            f"need 0 < redundancy <= machine count, got L={redundancy}, N={n_machines}")
-    if n_tasks % n_machines != 0:
-        raise DivisibilityError(
-            f"machine count {n_machines} does not divide task count {n_tasks}")
-    if (redundancy * n_tasks) % n_machines != 0:
-        raise DivisibilityError(
-            f"machine count {n_machines} does not divide redundancy*tasks "
-            f"{redundancy * n_tasks}")
-
-
 def cyclic_allocation(labels: Sequence[int], redundancy: int, n_tasks: int,
                       shift: int = 0) -> TaskAllocation:
     """Cyclic allocation over an explicit machine ordering.
 
     The machine at position n (1-based index into ``labels``) receives
-    [(n-1)*F/N + shift, (n-1)*F/N + L*F/N - 1 + shift] mod F.
+    [(n-1)*F/N + shift, (n-1)*F/N + L*F/N - 1 + shift] mod F.  N | F is
+    required, and it implies N | L*F.
     """
     n = len(labels)
-    _check_cyclic_divisibility(n, redundancy, n_tasks)
+    if not 0 < redundancy <= n:
+        raise ValueError(f"need 0 < redundancy <= machine count, got L={redundancy}, N={n}")
+    if n_tasks % n != 0:
+        raise DivisibilityError(f"machine count {n} does not divide task count {n_tasks}")
     size = redundancy * n_tasks // n
     sets = {}
     for pos, label in enumerate(labels):

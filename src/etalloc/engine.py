@@ -4,7 +4,8 @@ A trace is an initial pool plus an ordered stream of joins and leaves.  The
 engine applies each event, keeps the live allocation a valid TAS throughout,
 and measures every transition's waste by set arithmetic (closed forms are
 assertions elsewhere, never the source of truth here).  A zero-waste runner
-keeps a stack of the states it left, and a join climbs back to the last one.
+keeps a stack of the states it left; a join climbs back to the top one and
+may name no machine but the one that left it.
 A :class:`TransitionTree` does not serve as that stack: it memoises every
 child it visits, so its memory grows with the leaves of a long walk, while the
 stack holds at most n_max - n_min states; and degraded fallback states are
@@ -254,7 +255,12 @@ class TraceRunner:
             return machine, outcome, None, degraded
         if self._history:
             # A join-back reuses the departed label; it must not draw a fresh one.
-            parent, departed = self._history.pop()
+            parent, departed = self._history[-1]
+            if event.machine not in (None, departed):
+                raise EtallocError(
+                    f"event {index}: join of machine {event.machine} would climb back "
+                    f"to departed machine {departed}")
+            self._history.pop()
             return departed, transition_waste(alloc, parent), None, False
         machine = event.machine if event.machine is not None else self._assign_label()
         return machine, zero_waste_join(alloc, machine), None, False

@@ -24,6 +24,7 @@ from .core import (
     TaskAllocation,
     TransitionOutcome,
     holder_classes,
+    necessary_load_change,
     require_valid,
     transition_waste,
 )
@@ -52,15 +53,14 @@ class TransitionGraph:
 
     ``classes`` maps the survivors that hold each class of the leaver's tasks
     to its tasks; a survivor can absorb the classes it is not in.  ``delta`` is
-    the required per-machine intake, or None when it is not an integer (in
-    which case no balanced (N-1)-allocation exists at all).
+    the required per-machine intake L*F/(N(N-1)).
     """
 
     leaver: int
     left: tuple[int, ...]
     right: tuple[int, ...]
     classes: dict[tuple[int, ...], tuple[int, ...]]
-    delta: int | None
+    delta: int
 
     @cached_property
     def neighbors(self) -> dict[int, frozenset[int]]:
@@ -110,10 +110,7 @@ def zero_waste_join(alloc: TaskAllocation, new_machine: int) -> TransitionOutcom
     n, l, f = alloc.n_machines, alloc.redundancy, alloc.n_tasks
     if new_machine in alloc.task_sets:
         raise ValueError(f"machine {new_machine} is already active")
-    if (l * f) % (n * (n + 1)) != 0:
-        raise DivisibilityError(
-            f"zero-waste join needs N(N+1) | L*F: {n * (n + 1)} does not divide {l * f}")
-    share = l * f // (n * (n + 1))
+    share = necessary_load_change(n, n + 1, l, f)
     donated: set[int] = set()
     new_sets = {}
     for m in sorted(alloc.machine_ids):
@@ -129,14 +126,15 @@ def zero_waste_join(alloc: TaskAllocation, new_machine: int) -> TransitionOutcom
 
 
 def build_transition_graph(alloc: TaskAllocation, leaver: int) -> TransitionGraph:
-    """Graph whose edges pair each survivor with the leaver tasks it could absorb."""
+    """Graph whose edges pair each survivor with the leaver tasks it could absorb;
+    :class:`DivisibilityError` if no balanced (N-1)-allocation exists at all."""
     require_valid(alloc)
     if leaver not in alloc.task_sets:
         raise ValueError(f"machine {leaver} is not active")
-    n, l, f = alloc.n_machines, alloc.redundancy, alloc.n_tasks
+    n = alloc.n_machines
+    delta = necessary_load_change(n, n - 1, alloc.redundancy, alloc.n_tasks)
     classes = {tuple(m for m in holders if m != leaver): tasks
                for holders, tasks in holder_classes(alloc).items() if leaver in holders}
-    delta = (l * f) // (n * (n - 1)) if n > 1 and (l * f) % (n * (n - 1)) == 0 else None
     return TransitionGraph(
         leaver=leaver, left=tuple(m for m in alloc.machine_ids if m != leaver),
         right=tuple(sorted(alloc.task_sets[leaver])), classes=classes, delta=delta)
@@ -150,9 +148,6 @@ def hall_feasible_for_leaver(alloc: TaskAllocation, leaver: int) -> HallResult:
     the small-N oracle the flow matcher is checked against.
     """
     graph = build_transition_graph(alloc, leaver)
-    if graph.delta is None:
-        raise DivisibilityError(
-            "per-machine intake is not an integer: N(N-1) must divide L*F")
     if alloc.n_machines > _MAX_ENUMERATION_MACHINES:
         raise ValueError("subset enumeration is limited to small machine counts; "
                          "use find_delta_matching for larger allocations")
@@ -180,11 +175,8 @@ def hall_feasible_all_leavers(alloc: TaskAllocation) -> HallResult:
     enumeration would find it.
     """
     require_valid(alloc)
-    n, l, f = alloc.n_machines, alloc.redundancy, alloc.n_tasks
-    if n <= 1 or (l * f) % (n * (n - 1)) != 0:
-        raise DivisibilityError(
-            f"per-machine intake is not an integer: {n * (n - 1)} must divide {l * f}")
-    delta = (l * f) // (n * (n - 1))
+    n, l = alloc.n_machines, alloc.redundancy
+    delta = necessary_load_change(n, n - 1, l, alloc.n_tasks)
     classes = holder_classes(alloc)
     pair_common: Counter[tuple[int, int]] = Counter()
     for holder_set, tasks in classes.items():
@@ -389,8 +381,6 @@ def find_delta_matching(graph: TransitionGraph) -> DeltaMatching | None:
     It exists iff the class flow of :func:`_delta_flow` saturates every class,
     which by Hall's condition is exactly when the counting oracle passes.
     """
-    if graph.delta is None:
-        raise DivisibilityError("matching needs an integral per-machine intake")
     if graph.delta * len(graph.left) != len(graph.right):
         return None
     found = _delta_flow(graph)
@@ -411,9 +401,6 @@ def zero_waste_leave(alloc: TaskAllocation, leaver: int) -> TransitionOutcome | 
 def _leave_or_witness(alloc: TaskAllocation, leaver: int) -> TransitionOutcome | tuple[int, ...]:
     """The zero-waste leave, or the Hall witness of the one flow that refutes it."""
     graph = build_transition_graph(alloc, leaver)
-    if graph.delta is None:
-        raise DivisibilityError(
-            "zero-waste leave needs N(N-1) | L*F for an integral per-machine intake")
     found = _delta_flow(graph)
     if not isinstance(found, DeltaMatching):
         return found
@@ -442,9 +429,7 @@ def best_effort_leave(alloc: TaskAllocation, leaver: int) -> TransitionOutcome:
     n, l, f = alloc.n_machines, alloc.redundancy, alloc.n_tasks
     if n - 1 < l:
         raise ValueError(f"cannot keep redundancy {l} with {n - 1} machines")
-    if (l * f) % (n - 1) != 0:
-        raise DivisibilityError(
-            f"no balanced allocation on {n - 1} machines: {n - 1} does not divide {l * f}")
+    load, delta = l * f // n, necessary_load_change(n, n - 1, l, f)
     survivors = tuple(m for m in alloc.machine_ids if m != leaver)
     leaving = alloc.task_sets[leaver]
     machine_node = {m: 1 + f + i for i, m in enumerate(survivors)}
@@ -461,7 +446,7 @@ def best_effort_leave(alloc: TaskAllocation, leaver: int) -> TransitionOutcome:
             keep = int(t in alloc.task_sets[m])
             edge_of[net.add_edge(1 + t, machine_node[m], 1, 1 - keep, flow=keep)] = (t, m)
     for m in survivors:
-        net.add_edge(machine_node[m], sink, l * f // (n - 1), flow=len(alloc.task_sets[m]))
+        net.add_edge(machine_node[m], sink, load + delta, flow=load)
     net.min_cost_flow(0, sink, len(leaving))
     new_sets: dict[int, set[int]] = {m: set() for m in survivors}
     for idx, (t, m) in edge_of.items():

@@ -4,8 +4,10 @@ Each function here is the direct formulation the package's code refines:
 one flow node per task, every machine subset enumerated, a min-cost flow
 that routes all L*F units from an empty flow, a per-element coverage tally,
 a per-element modular interval, finite-field arithmetic that decodes
-digits and reduces a polynomial on every call, and each task's holders found
-by set membership rather than read from the allocation's class index.  They
+digits and reduces a polynomial on every call, each task's holders found
+by set membership rather than read from the allocation's class index, and
+each configuration family's zero-waste range from its own discriminant
+polynomial rather than the general formula.  They
 are slow on purpose and live only in the tests.
 """
 
@@ -30,11 +32,15 @@ from etalloc import (
     validate_tas,
 )
 from etalloc.configurations import (
+    ZWR_FAMILIES,
+    ZwrResult,
     _find_irreducible,
+    _floor_sub_sqrt,
     _poly_mod,
     _poly_mul,
     _prime_power,
     _projective_points,
+    is_prime_power,
 )
 from etalloc.coded import compute_subtask
 from etalloc.zero_waste import _ResidualNetwork
@@ -80,8 +86,6 @@ def execute_round_per_task(job: CodedJob, alloc: TaskAllocation, stragglers=(),
 
 def find_delta_matching_per_task(graph: TransitionGraph) -> DeltaMatching | None:
     """Dinic on source -> machine (delta) -> task (1) -> sink (1)."""
-    if graph.delta is None:
-        raise DivisibilityError("matching needs an integral per-machine intake")
     if graph.delta * len(graph.left) != len(graph.right):
         return None
     machine_node = {u: 1 + i for i, u in enumerate(graph.left)}
@@ -234,3 +238,48 @@ def projective_plane_per_call(q: int) -> Configuration:
     lines = tuple(frozenset(point_id[vec] for vec in reps if not dot(coeffs, vec))
                   for coeffs in reps)
     return Configuration(n_points=len(reps), line_size=q + 1, lines=lines)
+
+
+def family_zero_waste_range_specialized(family: str, q: int | None = None,
+                                        n_max: int | None = None) -> ZwrResult:
+    """Zero-waste range for a named configuration family, each family
+    evaluating its own specialized discriminant polynomial in n_max or q."""
+    family = family.lower()
+    if family in ("l3", "l4"):
+        if n_max is None:
+            raise ValueError(f"family {family!r} needs n_max")
+        if family == "l3":
+            if n_max < 7:
+                raise ValueError("(n,3)-configurations need n_max >= 7")
+            l, a, b = 3, 7 * n_max - 5, 10
+            disc = 9 * n_max ** 2 + 90 * n_max + 25
+        else:
+            if n_max < 13:
+                raise ValueError("(n,4)-configurations need n_max >= 13")
+            l, a, b = 4, 10 * n_max - 7, 14
+            disc = 16 * n_max ** 2 + 280 * n_max + 49
+    elif family in ("projective", "q2", "q2m1"):
+        if q is None:
+            raise ValueError(f"family {family!r} needs q")
+        if not is_prime_power(q):
+            raise ValueError(f"{q} is not a prime power")
+        if family == "projective":
+            l, n_max = q + 1, q * q + q + 1
+            a, b = 3 * q ** 3 + 4 * q ** 2 + 2 * q, 4 * q + 2
+            disc = (q ** 6 + 12 * q ** 5 + 24 * q ** 4 + 24 * q ** 3
+                    + 16 * q ** 2 + 4 * q)
+        elif family == "q2":
+            l, n_max = q, q * q
+            a, b = 3 * q ** 3 - 2 * q ** 2 - 2 * q + 1, 4 * q - 2
+            disc = (q ** 6 + 8 * q ** 5 - 16 * q ** 4 + 6 * q ** 3
+                    + 4 * q ** 2 - 4 * q + 1)
+        else:
+            l, n_max = q, q * q - 1
+            a, b = 3 * q ** 3 - 2 * q ** 2 - 5 * q + 3, 4 * q - 2
+            disc = (q ** 6 + 8 * q ** 5 - 18 * q ** 4 - 2 * q ** 3
+                    + 21 * q ** 2 - 10 * q + 1)
+    else:
+        raise ValueError(f"unknown family {family!r}; choose one of {ZWR_FAMILIES}")
+    removable = max(1 + _floor_sub_sqrt(a, disc, b), 0)
+    return ZwrResult(n_max=n_max, n_min=n_max - removable,
+                     removable=removable, discriminant=disc)

@@ -373,6 +373,17 @@ class TestSimulate:
         code, out, err = run(["simulate", "--trace", str(path)], capsys)
         assert code == 2 and not out and message in err
 
+    def test_zero_waste_join_of_another_label_exits_two(self, tmp_path, capsys):
+        trace = ElasticTrace(
+            initial_machines=7, redundancy=3, n_tasks=420, strategy="zero_waste",
+            n_min=5, seed_allocation=tas_from_configuration(fano_plane(), 420),
+            events=(ElasticEvent.leave(3), ElasticEvent.join(9)))
+        path = tmp_path / "relabel.json"
+        path.write_text(json.dumps(trace_to_document(trace)))
+        code, out, err = run(["simulate", "--trace", str(path)], capsys)
+        assert code == 2 and not out
+        assert "join of machine 9 would climb back to departed machine 3" in err
+
     def test_infeasible_trace_exits_one(self, tmp_path, capsys):
         trace = ElasticTrace(initial_machines=4, redundancy=2, n_tasks=12,
                              strategy="zero_waste",
@@ -430,6 +441,35 @@ class TestZwr:
     def test_requires_parameters(self, capsys):
         code, _, _ = run(["zwr"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("argv,stray", [
+        (["--family", "projective", "--q", "3", "--nmax", "40"], "--nmax"),
+        (["--family", "l3", "--nmax", "9", "--q", "5"], "--q"),
+        (["--family", "l4", "--nmax", "13", "--l", "4"], "--l"),
+        (["--family", "q2", "--q", "3", "--l", "3"], "--l"),
+        (["--nmax", "9", "--l", "3", "--q", "7"], "--q"),
+    ])
+    def test_flags_the_mode_ignores_are_usage_errors(self, capsys, argv, stray):
+        code, out, err = run(["zwr", *argv], capsys)
+        assert code == 2 and not out
+        assert f"does not take {stray}" in err
+
+    @pytest.mark.parametrize("argv,n_min,redundancy", [
+        (["--family", "l3", "--nmax", "9"], 7, 3),
+        (["--family", "l4", "--nmax", "13"], 9, 4),
+        (["--family", "projective", "--q", "3"], 9, 4),
+        (["--family", "q2m1", "--q", "4"], 11, 4),
+    ])
+    def test_family_reports_its_redundancy(self, capsys, argv, n_min, redundancy):
+        code, out, _ = run(["--format", "structured", "zwr", *argv], capsys)
+        doc = json.loads(out)
+        assert code == 0 and (doc["n_min"], doc["redundancy"]) == (n_min, redundancy)
+
+    @pytest.mark.parametrize("argv", [["--family", "l3"], ["--family", "q2"],
+                                      ["--family", "projective", "--q", "6"]])
+    def test_family_without_its_parameter_is_a_usage_error(self, capsys, argv):
+        code, out, _ = run(["zwr", *argv], capsys)
+        assert code == 2 and not out
 
 
 class TestCodedDemo:

@@ -6,6 +6,7 @@ import pytest
 
 from etalloc import (
     TaskAllocation,
+    configuration_from_document,
     configuration_from_json,
     configuration_to_json,
     family_zero_waste_range,
@@ -24,7 +25,7 @@ from etalloc import (
 from etalloc.configurations import _Field
 from etalloc.core import require_valid
 
-from oracles import FieldPerCall, projective_plane_per_call
+from oracles import FieldPerCall, family_zero_waste_range_specialized, projective_plane_per_call
 
 PRIME_POWERS = [2, 3, 4, 5, 7, 8, 9]
 FANO_LINES = [{1, 2, 3}, {1, 4, 5}, {1, 6, 7}, {2, 4, 6}, {2, 5, 7},
@@ -246,6 +247,42 @@ class TestFamilyTable:
             family_zero_waste_range("heptagon", q=2)
 
 
+def _range_or_error(solver, family, kwargs):
+    try:
+        return solver(family, **kwargs)
+    except Exception as exc:  # the oracle comparison covers the exception type too
+        return type(exc)
+
+
+class TestFamilyRangeMatchesSpecializedPolynomials:
+    # l3/l4 for 7 <= n_max < 400 (l4 below 13 is rejected) and the three
+    # q-families for each of the 43 prime powers q <= 127: 786 + 129 cases
+    CASES = ([(family, {"n_max": n}) for family in ("l3", "l4") for n in range(7, 400)]
+             + [(family, {"q": q}) for family in ("projective", "q2", "q2m1")
+                for q in range(2, 128) if is_prime_power(q)])
+    GUARDS = [("l3", {"n_max": 6}), ("l3", {}), ("l4", {"n_max": 12}), ("q2", {}),
+              ("projective", {"q": 6}), ("q2m1", {"q": 1}), ("heptagon", {"q": 2}),
+              ("L3", {"n_max": 9}), ("Projective", {"q": 3})]
+
+    def test_every_case_equals_the_oracle(self):
+        assert len(self.CASES) == 915
+        outcomes = []
+        for family, kwargs in self.CASES + self.GUARDS:
+            got = _range_or_error(family_zero_waste_range, family, kwargs)
+            assert got == _range_or_error(family_zero_waste_range_specialized, family, kwargs), \
+                (family, kwargs)
+            outcomes.append(got)
+        errors = sum(got is ValueError for got in outcomes)
+        assert errors == 6 + 7 and len(outcomes) - errors > 900
+
+    @pytest.mark.parametrize("family,kwargs", [("l3", {"n_max": 7}), ("l4", {"n_max": 13}),
+                                               ("projective", {"q": 2}), ("q2", {"q": 3}),
+                                               ("q2m1", {"q": 3})])
+    def test_paper_polynomials_give_the_discriminant(self, family, kwargs):
+        oracle = family_zero_waste_range_specialized(family, **kwargs)
+        assert family_zero_waste_range(family, **kwargs).discriminant == oracle.discriminant
+
+
 class TestTaskCountHelper:
     def test_fano_range_needs_420(self):
         assert zwr_task_count(5, 7) == 420
@@ -275,3 +312,23 @@ class TestSerialization:
     def test_round_trip(self):
         config = projective_plane(3)
         assert configuration_from_json(configuration_to_json(config)) == config
+
+    @pytest.mark.parametrize("doc,field", [
+        ({"v": 7, "k": 3}, "'lines'"),
+        ({"k": 3, "lines": []}, "'v'"),
+        ({"v": 7, "lines": []}, "'k'"),
+        ({"v": "seven", "k": 3, "lines": []}, "'v'"),
+        ({"v": 7, "k": [3], "lines": []}, "'k'"),
+        ({"v": 7, "k": 3, "lines": {"1": [1, 2, 3]}}, "'lines'"),
+        ({"v": 7, "k": 3, "lines": [[1, 2, 3], 4]}, "line 2"),
+        ({"v": 7, "k": 3, "lines": [[1.7, 2, 3]]}, "line 1"),
+        ({"v": 7, "k": 3, "lines": [["1", 2, 3]]}, "line 1"),
+        ([7, 3], "JSON object"),
+    ])
+    def test_malformed_documents_name_the_field(self, doc, field):
+        with pytest.raises(ValueError, match=field):
+            configuration_from_document(doc)
+
+    def test_integral_points_are_accepted(self):
+        config = configuration_from_document({"v": 3, "k": 2, "lines": [[1, 2], [2, 3], [1, 3]]})
+        assert config.lines == (frozenset({1, 2}), frozenset({2, 3}), frozenset({1, 3}))

@@ -322,6 +322,43 @@ class TestBoundsAndLabels:
                                      ElasticEvent.join()))
         assert [r.machine for r in run_trace(trace).records] == [5, 5, 6]
 
+    @staticmethod
+    def fano_walk(strategy, join_label):
+        """The Fano pool (F=420) losing machine 3, then a join naming ``join_label``."""
+        return ElasticTrace(7, 3, 420, strategy=strategy, n_min=5,
+                            seed_allocation=tas_from_configuration(fano_plane(), 420),
+                            events=(ElasticEvent.leave(3), ElasticEvent.join(join_label)))
+
+    def test_zero_waste_join_naming_another_machine_is_rejected(self):
+        trace = self.fano_walk("zero_waste", 9)
+        with pytest.raises(EtallocError, match="event 1: join of machine 9 would climb "
+                                               "back to departed machine 3"):
+            run_trace(trace)
+        runner = TraceRunner(trace)
+        runner.apply(trace.events[0])
+        with pytest.raises(EtallocError):
+            runner.apply(trace.events[1])
+        # the rejected join leaves the runner where it was
+        assert runner.apply(ElasticEvent.join(3)).machine == 3
+        assert runner.allocation == trace.seed_allocation
+
+    @pytest.mark.parametrize("label", [None, 3])
+    def test_zero_waste_join_back_unnamed_or_departed(self, label):
+        trace = self.fano_walk("zero_waste", label)
+        report = run_trace(trace)
+        assert [(r.kind, r.machine, r.waste) for r in report.records] == \
+            [("leave", 3, 0), ("join", 3, 0)]
+        assert report.final == trace.seed_allocation
+
+    def test_cyclic_joins_the_named_machine_and_zero_waste_aborts(self):
+        results = compare_strategies(self.fano_walk("cyclic", 9),
+                                     strategies=("cyclic", "zero_waste"))
+        assert results["cyclic"].aborted is None
+        assert [r.machine for r in results["cyclic"].records] == [3, 9]
+        assert 9 in results["cyclic"].final.machine_ids
+        assert "departed machine 3" in results["zero_waste"].aborted
+        assert [r.machine for r in results["zero_waste"].records] == [3]
+
     def test_reused_labels_fill_gaps(self):
         trace = ElasticTrace(initial_machines=4, redundancy=2, n_tasks=60,
                              strategy="cyclic", label_policy="reuse")

@@ -24,6 +24,7 @@ from etalloc import (
     hall_feasible_all_leavers,
     hall_feasible_for_leaver,
     holder_classes,
+    necessary_load_change,
     projective_plane,
     random_tas,
     run_trace,
@@ -94,13 +95,17 @@ class TestTransitionGraph:
         assert all(not nbrs for nbrs in graph.neighbors.values())
         assert graph.delta == 4
 
-    def test_fractional_intake_is_none(self):
-        # (4,2,8): the per-machine intake 16/12 is not an integer, but the
-        # graph itself is still well defined
-        graph = build_transition_graph(cyclic_tas(4, 2, 8), 1)
-        assert graph.delta is None
-        assert graph.right == (0, 1, 2, 3)
-        assert graph.neighbors[3] == frozenset({0, 1, 2, 3})
+    @pytest.mark.parametrize("call", [
+        build_transition_graph, zero_waste_leave, hall_feasible_for_leaver,
+        lambda alloc, _: hall_feasible_all_leavers(alloc), best_effort_leave,
+        lambda alloc, _: zero_waste_join(alloc, 5),
+    ], ids=["build_transition_graph", "zero_waste_leave", "hall_feasible_for_leaver",
+            "hall_feasible_all_leavers", "best_effort_leave", "zero_waste_join"])
+    def test_fractional_intake_raises(self, call):
+        # (4,2,8): neither the leave intake 16/12 nor the join share 16/20 is
+        # an integer, so no balanced 3- or 5-machine allocation exists
+        with pytest.raises(DivisibilityError):
+            call(cyclic_tas(4, 2, 8), 1)
 
     def test_unknown_leaver(self):
         with pytest.raises(ValueError):
@@ -317,6 +322,15 @@ ORACLE_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
 
 
 class TestClassSolversMatchOracles:
+    @ORACLE_SETTINGS
+    @given(pools())
+    def test_graph_intake_is_the_necessary_load_change(self, alloc):
+        n, l, f = alloc.n_machines, alloc.redundancy, alloc.n_tasks
+        for leaver in alloc.machine_ids:
+            graph = build_transition_graph(alloc, leaver)
+            assert graph.delta == necessary_load_change(n, n - 1, l, f)
+            assert graph.delta * (n - 1) == len(graph.right)
+
     @ORACLE_SETTINGS
     @given(pools())
     def test_delta_matching_verdicts_and_validity(self, alloc):
