@@ -92,7 +92,6 @@ from .engine import (
 from .coded import (
     CodedJob,
     RoundResult,
-    SubtaskResult,
     elastic_linear_regression,
     encode_job,
     execute_round,

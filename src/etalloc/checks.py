@@ -27,15 +27,14 @@ from .configurations import (
     zero_waste_range,
     zwr_task_count,
 )
-from .core import ElasticEvent, TaskAllocation, transition_waste
+from .core import ElasticEvent, InfeasibleTransitionError, TaskAllocation, \
+    transition_waste
 from .engine import ElasticTrace, build_transition_tree, full_tree_node_count, \
     tree_navigate
 from .zero_waste import (
     build_transition_graph,
-    find_delta_matching,
     hall_feasible_all_leavers,
     hall_feasible_for_leaver,
-    infeasible_leave_error,
     random_tas,
     zero_waste_leave,
 )
@@ -212,13 +211,16 @@ def verify_hall(n_samples: int = 200, seed: int = 20240601) -> list[CheckResult]
         per_leaver = []
         for leaver in alloc.machine_ids:
             oracle = hall_feasible_for_leaver(alloc, leaver)
-            graph = build_transition_graph(alloc, leaver)
-            matched = find_delta_matching(graph)
+            witness = None
+            try:
+                zero_waste_leave(alloc, leaver)
+            except InfeasibleTransitionError as exc:
+                witness = exc.witness
             per_leaver.append(oracle.feasible)
-            if oracle.feasible != (matched is not None):
+            if oracle.feasible != (witness is None):
                 disagreements.append((i, leaver))
-            if matched is None:
-                witness = infeasible_leave_error(alloc, leaver, "leave").witness
+            if witness is not None:
+                graph = build_transition_graph(alloc, leaver)
                 absorbable = frozenset().union(*(graph.neighbors[u] for u in witness))
                 if len(absorbable) >= graph.delta * len(witness):
                     bad_witnesses.append((i, leaver))
@@ -264,13 +266,14 @@ def probe_zero_waste_depth(alloc, floor: int) -> dict[int, tuple[int, int]]:
         grown = []
         for state in frontier:
             for leaver in sorted(state.machine_ids):
-                outcome = zero_waste_leave(state, leaver)
                 record = levels.setdefault(state.n_machines - 1, [0, 0])
-                if outcome is None:
+                try:
+                    outcome = zero_waste_leave(state, leaver)
+                except InfeasibleTransitionError:
                     record[1] += 1
-                else:
-                    record[0] += 1
-                    grown.append(outcome.new_alloc)
+                    continue
+                record[0] += 1
+                grown.append(outcome.new_alloc)
         frontier = grown
     return {size: tuple(counts) for size, counts in sorted(levels.items())}
 

@@ -20,7 +20,6 @@ from .engine import ElasticTrace, TraceRunner
 
 __all__ = [
     "CodedJob",
-    "SubtaskResult",
     "RoundResult",
     "encode_job",
     "execute_round",
@@ -52,19 +51,6 @@ class CodedJob:
     @property
     def recovery_threshold(self) -> int:
         return self.redundancy - self.tolerance
-
-
-@dataclass(frozen=True)
-class SubtaskResult:
-    """One worker's contribution: the coded block of one task."""
-
-    task: int
-    shard: int
-    block: np.ndarray
-
-    def __post_init__(self):
-        if self.shard < 0:
-            raise ValueError("shard index must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -116,13 +102,12 @@ def encode_job(matrix: np.ndarray, vector: np.ndarray, n_tasks: int,
 
 
 def compute_subtask(job: CodedJob, machine: int, task: int,
-                    vector: np.ndarray | None = None) -> SubtaskResult:
-    """What the worker holding ``machine``'s label computes for one assigned task."""
+                    vector: np.ndarray | None = None) -> np.ndarray:
+    """The coded block the worker holding ``machine``'s label computes for one task."""
     if not 1 <= machine <= job.n_max:
         raise ValueError(f"machine label {machine} outside 1..{job.n_max}")
     x = job.vector if vector is None else np.asarray(vector, dtype=float)
-    return SubtaskResult(task=task, shard=machine - 1,
-                         block=job.shards[machine - 1, task] @ x)
+    return job.shards[machine - 1, task] @ x
 
 
 def execute_round(job: CodedJob, alloc: TaskAllocation,
@@ -152,7 +137,7 @@ def execute_round(job: CodedJob, alloc: TaskAllocation,
             return RoundResult(recovered=False, unrecoverable_task=tasks[0])
         square = job.generator[[m - 1 for m in available]]
         for f in tasks:
-            results = np.stack([compute_subtask(job, m, f, x).block for m in available])
+            results = np.stack([compute_subtask(job, m, f, x) for m in available])
             blocks[f] = np.linalg.solve(square, results).reshape(blocks.shape[1])
     return RoundResult(recovered=True, product=blocks.reshape(-1)[:job.matrix.shape[0]])
 

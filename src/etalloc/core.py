@@ -60,7 +60,7 @@ class DivisibilityError(EtallocError, ValueError):
 
 
 class InfeasibleTransitionError(EtallocError):
-    """A zero-waste transition was requested but none exists.
+    """No zero-waste leave exists; zero_waste_leave raises it.
 
     ``witness`` holds machine labels, ascending, violating the Hall-style
     counting condition; every infeasible leave has one.
@@ -412,9 +412,10 @@ _REQUIRED = object()
 
 
 def _field(doc, key: str, where: str, kind: type = object, default=_REQUIRED):
-    """``doc[key]`` converted by ``int`` or checked against ``kind``, else a
-    ValueError naming the field; an optional field takes ``default`` when
-    absent or null.  Documents are input from outside the program.
+    """``doc[key]`` converted by ``operator.index`` (a bool, float or numeric
+    string is refused) or checked against ``kind``, else a ValueError naming
+    the field; an optional field takes ``default`` when absent or null.
+    Documents are input from outside the program.
     """
     if not isinstance(doc, Mapping):
         raise ValueError(f"{where} must be a JSON object, got {type(doc).__name__}")
@@ -424,10 +425,11 @@ def _field(doc, key: str, where: str, kind: type = object, default=_REQUIRED):
         raise ValueError(f"{where} has no {key!r} field")
     value = doc[key]
     if kind is int:
-        try:
-            return int(value)
-        except (TypeError, ValueError):
-            pass
+        if not isinstance(value, bool):
+            try:
+                return operator.index(value)
+            except TypeError:
+                pass
     elif isinstance(value, kind):
         return value
     raise ValueError(f"{where}: {key!r} must be {kind.__name__}, got {type(value).__name__}")

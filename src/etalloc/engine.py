@@ -22,6 +22,7 @@ from . import cyclic as cyc
 from .core import (
     ElasticEvent,
     EtallocError,
+    InfeasibleTransitionError,
     TaskAllocation,
     TransitionOutcome,
     _field,
@@ -30,12 +31,7 @@ from .core import (
     tas_to_document,
     transition_waste,
 )
-from .zero_waste import (
-    _leave_or_witness,
-    _witness_error,
-    best_effort_leave,
-    zero_waste_join,
-)
+from .zero_waste import best_effort_leave, zero_waste_join, zero_waste_leave
 
 __all__ = [
     "STRATEGIES",
@@ -242,15 +238,13 @@ class TraceRunner:
         alloc, index = self.allocation, len(self._records)
         if event.kind == "leave":
             machine = event.machine
-            outcome = _leave_or_witness(alloc, machine)
-            degraded = not isinstance(outcome, TransitionOutcome)
-            if degraded:
+            try:
+                outcome, degraded = zero_waste_leave(alloc, machine), False
+            except InfeasibleTransitionError as exc:
                 if self.strategy != "zero_waste_with_fallback":
-                    raise _witness_error(
-                        outcome,
-                        f"event {index}: no zero-waste transition when machine {machine} leaves",
-                        event_index=index)
-                outcome = best_effort_leave(alloc, machine)
+                    raise InfeasibleTransitionError(
+                        f"event {index}: {exc}", witness=exc.witness, event_index=index) from None
+                outcome, degraded = best_effort_leave(alloc, machine), True
             self._history.append((alloc, machine))
             return machine, outcome, None, degraded
         if self._history:
@@ -356,10 +350,12 @@ class TransitionTree:
             return node.children[leaver]
         if leaver not in node.allocation.task_sets:
             raise ValueError(f"machine {leaver} is not active at node {node.path}")
-        outcome = _leave_or_witness(node.allocation, leaver)
-        if not isinstance(outcome, TransitionOutcome):
-            raise _witness_error(
-                outcome, f"no zero-waste transition at node {node.path} for leaver {leaver}")
+        try:
+            outcome = zero_waste_leave(node.allocation, leaver)
+        except InfeasibleTransitionError as exc:
+            raise InfeasibleTransitionError(
+                f"no zero-waste transition at node {node.path} for leaver {leaver}; "
+                f"violating machine subset: {list(exc.witness)}", witness=exc.witness) from None
         child = TreeNode(allocation=outcome.new_alloc, parent=node,
                          leaver_from_parent=leaver)
         node.children[leaver] = child

@@ -37,7 +37,6 @@ __all__ = [
     "build_transition_graph",
     "hall_feasible_for_leaver",
     "hall_feasible_all_leavers",
-    "infeasible_leave_error",
     "find_delta_matching",
     "zero_waste_leave",
     "best_effort_leave",
@@ -150,7 +149,7 @@ def hall_feasible_for_leaver(alloc: TaskAllocation, leaver: int) -> HallResult:
     graph = build_transition_graph(alloc, leaver)
     if alloc.n_machines > _MAX_ENUMERATION_MACHINES:
         raise ValueError("subset enumeration is limited to small machine counts; "
-                         "use find_delta_matching for larger allocations")
+                         "use zero_waste_leave for larger allocations")
     survivors = sorted(graph.left)
     for size in range(1, len(survivors) + 1):
         for subset in itertools.combinations(survivors, size):
@@ -199,22 +198,6 @@ def _first_violating_subset(classes: Mapping[tuple[int, ...], tuple[int, ...]], 
                 common[subset] += len(tasks)
     violating = [s for s, c in common.items() if c > (n - len(s)) * delta]
     return min(violating, key=lambda s: (len(s), s)) if violating else None
-
-
-def infeasible_leave_error(alloc: TaskAllocation, leaver: int, context: str,
-                           event_index: int | None = None) -> InfeasibleTransitionError:
-    """The error for a leave with no zero-waste move, carrying the Hall witness
-    from the minimum cut of its Delta-matching flow (see :func:`_delta_flow`)."""
-    found = _leave_or_witness(alloc, leaver)
-    if isinstance(found, TransitionOutcome):
-        raise ValueError(f"machine {leaver} has a zero-waste leave")
-    return _witness_error(found, context, event_index)
-
-
-def _witness_error(witness: tuple[int, ...], context: str,
-                   event_index: int | None = None) -> InfeasibleTransitionError:
-    return InfeasibleTransitionError(f"{context}; violating machine subset: {list(witness)}",
-                                     witness=witness, event_index=event_index)
 
 
 class _ResidualNetwork:
@@ -387,23 +370,20 @@ def find_delta_matching(graph: TransitionGraph) -> DeltaMatching | None:
     return found if isinstance(found, DeltaMatching) else None
 
 
-def zero_waste_leave(alloc: TaskAllocation, leaver: int) -> TransitionOutcome | None:
-    """Reassign the leaver's tasks so every survivor only grows; None if impossible.
+def zero_waste_leave(alloc: TaskAllocation, leaver: int) -> TransitionOutcome:
+    """Reassign the leaver's tasks so every survivor only grows.
 
     On success the survivors' new sets are supersets of their old ones and the
-    measured waste is exactly zero.  Infeasibility coincides with the Hall
-    counting condition failing for this leaver.
+    measured waste is exactly zero.  Otherwise raises
+    :class:`InfeasibleTransitionError` whose witness, from the minimum cut of
+    the one flow that refutes the leave, fails Hall's counting condition.
     """
-    found = _leave_or_witness(alloc, leaver)
-    return found if isinstance(found, TransitionOutcome) else None
-
-
-def _leave_or_witness(alloc: TaskAllocation, leaver: int) -> TransitionOutcome | tuple[int, ...]:
-    """The zero-waste leave, or the Hall witness of the one flow that refutes it."""
     graph = build_transition_graph(alloc, leaver)
     found = _delta_flow(graph)
     if not isinstance(found, DeltaMatching):
-        return found
+        raise InfeasibleTransitionError(
+            f"no zero-waste transition when machine {leaver} leaves; "
+            f"violating machine subset: {list(found)}", witness=found)
     extra: dict[int, set[int]] = {u: set() for u in graph.left}
     for task, machine in found.assignment.items():
         extra[machine].add(task)

@@ -78,7 +78,7 @@ def execute_round_per_task(job: CodedJob, alloc: TaskAllocation, stragglers=(),
         available = sorted(covering[f])[:k]
         if len(available) < k:
             return RoundResult(recovered=False, unrecoverable_task=f)
-        results = np.stack([compute_subtask(job, m, f, x).block for m in available])
+        results = np.stack([compute_subtask(job, m, f, x) for m in available])
         pieces = np.linalg.solve(job.generator[[m - 1 for m in available]], results)
         blocks.append(pieces.reshape(-1))
     return RoundResult(recovered=True, product=np.concatenate(blocks)[:job.matrix.shape[0]])

@@ -283,12 +283,25 @@ MALFORMED_DOCUMENTS = [
     ("simulate", {"initial": {"n0": 5, "l": 3, "f": 20}}, "'events'"),
     ("simulate", {"initial": {"n0": 5, "l": 3, "f": 20, "shift": [1]}, "events": []},
      "'shift'"),
+    ("transition", {"n_machines": 3, "redundancy": 2, "n_tasks": 6.9,
+                    "machines": [{"id": m, "tasks": [(m - 1 + i) % 6 for i in range(4)]}
+                                 for m in (1, 2, 3)]}, "'n_tasks' must be int, got float"),
+    ("transition", {"n_machines": 2, "redundancy": True, "n_tasks": 2,
+                    "machines": [{"id": 1, "tasks": [0]}, {"id": 2, "tasks": [1]}]},
+     "'redundancy' must be int, got bool"),
+    ("simulate", {"initial": {"n0": "5", "l": 3, "f": 20}, "events": []},
+     "'n0' must be int, got str"),
+    ("simulate", {"initial": {"n0": 5, "l": 3.5, "f": 20}, "events": []},
+     "'l' must be int, got float"),
+    ("simulate", {"initial": {"n0": 5, "l": 3, "f": 20, "nmax": True}, "events": []},
+     "'nmax' must be int, got bool"),
 ]
 
 
 @pytest.mark.parametrize("command,doc,field", MALFORMED_DOCUMENTS,
                          ids=["no-tasks", "no-n_tasks", "list", "no-kind", "no-events",
-                              "list-shift"])
+                              "list-shift", "float-n_tasks", "bool-redundancy", "str-n0",
+                              "float-l", "bool-nmax"])
 def test_malformed_documents_are_usage_errors(command, doc, field, tmp_path, capsys):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))

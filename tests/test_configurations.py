@@ -324,6 +324,9 @@ class TestSerialization:
         ({"v": 7, "k": 3, "lines": [[1.7, 2, 3]]}, "line 1"),
         ({"v": 7, "k": 3, "lines": [["1", 2, 3]]}, "line 1"),
         ([7, 3], "JSON object"),
+        ({"v": 7.8, "k": 3, "lines": []}, "'v' must be int, got float"),
+        ({"v": 7, "k": "3", "lines": []}, "'k' must be int, got str"),
+        ({"v": True, "k": 3, "lines": []}, "'v' must be int, got bool"),
     ])
     def test_malformed_documents_name_the_field(self, doc, field):
         with pytest.raises(ValueError, match=field):

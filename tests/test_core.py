@@ -172,6 +172,15 @@ class TestBoundaryNormalisation:
         with pytest.raises(ValueError):
             tas_from_document(doc)
 
+    @pytest.mark.parametrize("value", [6.9, 6.0, "6", True])
+    @pytest.mark.parametrize("key", ["n_machines", "redundancy", "n_tasks", "id"])
+    def test_documents_need_integer_scalars(self, key, value):
+        # int() would truncate 6.9, parse "6" and read True as 1.
+        doc = tas_to_document(cyclic_tas(3, 2, 6))
+        (doc["machines"][0] if key == "id" else doc)[key] = value
+        with pytest.raises(ValueError, match=f"'{key}' must be int, got {type(value).__name__}"):
+            tas_from_document(doc)
+
     def test_task_sets_are_read_only(self):
         alloc = cyclic_tas(4, 2, 8)
         with pytest.raises(TypeError):

@@ -26,7 +26,7 @@ from etalloc import (
     tree_navigate,
     validate_tas,
 )
-from etalloc import core, zero_waste
+from etalloc import core, engine, zero_waste
 from etalloc.checks import doubled_block_tas, perturbed
 from etalloc.engine import STRATEGIES, report_rows, report_to_document
 
@@ -272,6 +272,22 @@ class TestSolveOnce:
         assert excinfo.value.witness == (2,)
         assert flows == [1]
 
+    def test_infeasible_leave_then_fallback(self, flows, monkeypatch):
+        fallbacks = []
+        real = engine.best_effort_leave
+
+        def counting(alloc, leaver):
+            fallbacks.append(leaver)
+            return real(alloc, leaver)
+
+        monkeypatch.setattr(engine, "best_effort_leave", counting)
+        trace = ElasticTrace(initial_machines=12, redundancy=2, n_tasks=132,
+                             strategy="zero_waste_with_fallback",
+                             seed_allocation=doubled_block_tas(12, 132),
+                             events=(ElasticEvent.leave(1),))
+        assert run_trace(trace).records[0].degraded
+        assert flows == [1] and fallbacks == [1]
+
 
 class TestBoundsAndLabels:
     def test_leave_below_redundancy_rejected_statically(self):
@@ -479,6 +495,21 @@ class TestTraceSerialization:
             n_min=5, n_max=7, seed_allocation=tas_from_configuration(fano_plane(), 420),
             events=(ElasticEvent.leave(2), ElasticEvent.join()))
         assert trace_from_document(trace_to_document(trace)) == trace
+
+    @pytest.mark.parametrize("key,value", [
+        ("n0", "5"), ("l", 3.5), ("f", 20.0), ("nmax", True), ("shift", False)])
+    def test_initial_fields_need_integers(self, key, value):
+        doc = trace_to_document(FIG1_TRACE)
+        doc["initial"][key] = value
+        with pytest.raises(ValueError, match=f"'{key}' must be int, got {type(value).__name__}"):
+            trace_from_document(doc)
+
+    @pytest.mark.parametrize("machine", [5.0, "5", True])
+    def test_event_machines_need_integers(self, machine):
+        doc = trace_to_document(FIG1_TRACE)
+        doc["events"][0]["machine"] = machine
+        with pytest.raises(ValueError, match="trace event 0: 'machine' must be int"):
+            trace_from_document(doc)
 
     def test_report_exports(self):
         report = run_trace(FIG1_TRACE, strategy="cyclic")

@@ -6,17 +6,19 @@ from collections import Counter
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from etalloc import (
     DeltaMatching,
     DivisibilityError,
     ElasticEvent,
     ElasticTrace,
+    InfeasibleTransitionError,
     TaskAllocation,
     TransitionGraph,
     best_effort_leave,
     build_transition_graph,
+    build_transition_tree,
     cyclic_allocation,
     cyclic_tas,
     fano_plane,
@@ -36,7 +38,6 @@ from etalloc import (
 )
 from etalloc.checks import doubled_block_tas, perturbed
 from etalloc import core, zero_waste
-from etalloc.zero_waste import infeasible_leave_error
 
 from oracles import (
     best_effort_leave_cold,
@@ -48,6 +49,24 @@ from oracles import (
 
 FIG1A = cyclic_tas(5, 3, 20)
 DOUBLED = doubled_block_tas(4, 12)
+
+
+def _two_machine_cut():
+    """Leaver 9 and survivors 8 and 2 share 15 tasks, so 8 and 2 can absorb only
+    the leaver's 3 others: delta = 3 for either alone, too few for both."""
+    sets = [set(range(15)) | set(range(t, t + 3)) for t in (15, 18, 21)]
+    sets += [set(range(24, 42)) for _ in range(4)]
+    pairs = [(3, 4), (3, 5), (3, 5), (3, 6), (3, 6), (4, 5), (4, 5), (4, 6), (4, 6)]
+    for t, pair in enumerate(pairs, start=15):
+        for m in pair:
+            sets[m].add(t)
+    for t, m in zip(range(24, 42), [3] * 5 + [4] * 5 + [5] * 4 + [6] * 4):
+        sets[m].discard(t)
+    return TaskAllocation.from_sets([frozenset(s) for s in sets], 3, 42,
+                                    machine_ids=[9, 8, 2, 7, 6, 5, 4])
+
+
+TWO_MACHINE_CUT = _two_machine_cut()
 
 
 class TestZeroWasteJoin:
@@ -124,24 +143,17 @@ class TestHallPerLeaver:
         assert len(absorbable) < len(result.witness) * graph.delta
 
     def test_two_machine_cut_witness_is_in_label_order(self):
-        # Leaver 9 and survivors 8 and 2 share 15 tasks, so 8 and 2 can absorb only
-        # the leaver's 3 others: delta = 3 for either alone, too few for both.
-        sets = [set(range(15)) | set(range(t, t + 3)) for t in (15, 18, 21)]
-        sets += [set(range(24, 42)) for _ in range(4)]
-        pairs = [(3, 4), (3, 5), (3, 5), (3, 6), (3, 6), (4, 5), (4, 5), (4, 6), (4, 6)]
-        for t, pair in enumerate(pairs, start=15):
-            for m in pair:
-                sets[m].add(t)
-        for t, m in zip(range(24, 42), [3] * 5 + [4] * 5 + [5] * 4 + [6] * 4):
-            sets[m].discard(t)
-        alloc = TaskAllocation.from_sets([frozenset(s) for s in sets], 3, 42,
-                                         machine_ids=[9, 8, 2, 7, 6, 5, 4])
-        error = infeasible_leave_error(alloc, 9, "leave")
-        assert error.witness == (2, 8) == hall_feasible_for_leaver(alloc, 9).witness
+        with pytest.raises(InfeasibleTransitionError) as excinfo:
+            zero_waste_leave(TWO_MACHINE_CUT, 9)
+        error = excinfo.value
+        assert error.witness == (2, 8) == hall_feasible_for_leaver(TWO_MACHINE_CUT, 9).witness
+        assert str(error) == ("no zero-waste transition when machine 9 leaves; "
+                              "violating machine subset: [2, 8]")
+        assert error.event_index is None
 
     def test_no_error_for_a_feasible_leave(self):
-        with pytest.raises(ValueError):
-            infeasible_leave_error(FIG1A, 5, "leave")
+        for leaver in FIG1A.machine_ids:
+            assert zero_waste_leave(FIG1A, leaver).total_waste == 0
 
     def test_cyclic_sweep_is_feasible(self):
         for l in (2, 3):
@@ -263,7 +275,9 @@ class TestZeroWasteLeave:
             assert outcome is not None and outcome.total_waste == 0
 
     def test_doubled_block_is_infeasible(self):
-        assert zero_waste_leave(DOUBLED, 1) is None
+        with pytest.raises(InfeasibleTransitionError) as excinfo:
+            zero_waste_leave(DOUBLED, 1)
+        assert excinfo.value.witness == (2,)
 
     def test_divisibility_guard(self):
         with pytest.raises(DivisibilityError):
@@ -347,15 +361,43 @@ class TestClassSolversMatchOracles:
     @given(pools())
     def test_cut_witness_violates_the_counting_condition(self, alloc):
         for leaver in alloc.machine_ids:
-            graph = build_transition_graph(alloc, leaver)
-            if find_delta_matching(graph) is not None:
+            try:
+                zero_waste_leave(alloc, leaver)
+            except InfeasibleTransitionError as exc:
+                witness = exc.witness
+            else:
                 continue
-            witness = infeasible_leave_error(alloc, leaver, "leave").witness
+            graph = build_transition_graph(alloc, leaver)
             assert witness and list(witness) == sorted(set(witness))
             assert set(witness) <= set(graph.left)
             absorbable = frozenset().union(*(graph.neighbors[u] for u in witness))
             assert len(absorbable) < graph.delta * len(witness)
             assert not hall_feasible_for_leaver(alloc, leaver).feasible
+
+    @ORACLE_SETTINGS
+    @given(pools())
+    @example(TWO_MACHINE_CUT)  # pools() witnesses are single machines
+    def test_leave_raises_exactly_when_hall_fails_with_one_witness(self, alloc):
+        n = alloc.n_machines
+        for leaver in alloc.machine_ids:
+            feasible = hall_feasible_for_leaver(alloc, leaver).feasible
+            try:
+                zero_waste_leave(alloc, leaver)
+            except InfeasibleTransitionError as exc:
+                witness = exc.witness
+            else:
+                assert feasible
+                continue
+            assert not feasible
+            trace = ElasticTrace(n, alloc.redundancy, alloc.n_tasks, strategy="zero_waste",
+                                 seed_allocation=alloc, events=(ElasticEvent.leave(leaver),))
+            with pytest.raises(InfeasibleTransitionError) as traced:
+                run_trace(trace)
+            assert traced.value.witness == witness and traced.value.event_index == 0
+            tree = build_transition_tree(alloc, n_min=n - 1)
+            with pytest.raises(InfeasibleTransitionError) as child:
+                tree.child(tree.root, leaver)
+            assert child.value.witness == witness
 
     def test_all_leavers_certificate_gives_the_oracle_witness(self):
         # Count which pools the pair bound settles and which need every subset
@@ -419,9 +461,11 @@ class TestDerivedAllocations:
         assert_same_as_public(best_effort_leave(alloc, leaver).new_alloc)
         if (alloc.redundancy * alloc.n_tasks) % (alloc.n_machines * (alloc.n_machines - 1)):
             return
-        outcome = zero_waste_leave(alloc, leaver)
-        if outcome is not None:
-            assert_same_as_public(outcome.new_alloc)
+        try:
+            outcome = zero_waste_leave(alloc, leaver)
+        except InfeasibleTransitionError:
+            return
+        assert_same_as_public(outcome.new_alloc)
 
     @pytest.mark.parametrize("alloc", [FIG1A, tas_from_configuration(fano_plane(), 56),
                                        cyclic_allocation([4, 2, 9], 2, 12)])
