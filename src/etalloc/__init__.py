@@ -16,10 +16,8 @@ from .core import (
     TransitionOutcome,
     ValidationReport,
     holder_classes,
-    incidence_matrix,
     mod_interval,
     necessary_load_change,
-    padded_task_count,
     tas_from_document,
     tas_from_json,
     tas_to_document,
@@ -40,7 +38,6 @@ from .cyclic import (
     optimal_shift_join,
     optimal_shift_leave,
     shift_waste_profile,
-    shifted_cyclic_tas,
     shifted_join_waste_piecewise,
 )
 from .zero_waste import (
@@ -52,7 +49,6 @@ from .zero_waste import (
     find_delta_matching,
     hall_feasible_all_leavers,
     hall_feasible_for_leaver,
-    random_tas,
     zero_waste_join,
     zero_waste_leave,
 )

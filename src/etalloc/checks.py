@@ -3,7 +3,9 @@
 Each suite pits a closed form against an independent oracle (set arithmetic,
 subset enumeration, exhaustive sweeps, direct multiplication) and returns one
 result per check.  Randomized suites take an explicit seed and echo it in
-their details so failures reproduce.
+their details so failures reproduce.  The allocation generators
+(``random_tas``, ``doubled_block_tas``, ``perturbed``) build the seeded
+corpora that the suites, the tests and the benchmark draw from.
 """
 
 from __future__ import annotations
@@ -27,20 +29,20 @@ from .configurations import (
     zero_waste_range,
     zwr_task_count,
 )
-from .core import ElasticEvent, InfeasibleTransitionError, TaskAllocation, \
-    transition_waste
+from .core import DivisibilityError, ElasticEvent, InfeasibleTransitionError, \
+    TaskAllocation, transition_waste
 from .engine import ElasticTrace, build_transition_tree, full_tree_node_count, \
     tree_navigate
 from .zero_waste import (
     build_transition_graph,
     hall_feasible_all_leavers,
     hall_feasible_for_leaver,
-    random_tas,
     zero_waste_leave,
 )
 
 __all__ = ["CheckResult", "verify_formulas", "verify_hall", "verify_zwr",
-           "verify_coded", "SUITES", "run_suite"]
+           "verify_coded", "SUITES", "run_suite", "doubled_block_tas", "perturbed",
+           "random_tas"]
 
 
 @dataclass(frozen=True)
@@ -186,6 +188,58 @@ def perturbed(alloc, rng: random.Random, swaps: int):
         n_machines=alloc.n_machines, redundancy=alloc.redundancy,
         n_tasks=alloc.n_tasks, machine_ids=alloc.machine_ids,
         task_sets={m: frozenset(s) for m, s in sets.items()})
+
+
+_DEAL_ATTEMPTS = 50
+
+
+def random_tas(n_machines: int, redundancy: int, n_tasks: int,
+               rng: random.Random) -> TaskAllocation:
+    """Random column-regular allocation for ``verify hall`` and property tests.
+
+    Deals a shuffled multiset of L copies of every task into N equal hands,
+    then repairs duplicate-holding hands by random pairwise swaps (each
+    admissible swap strictly shrinks the duplicate excess, so repair
+    terminates).  The caller owns the seeded ``rng`` so runs are reproducible.
+    """
+    n, l, f = n_machines, redundancy, n_tasks
+    if not 0 < l <= n:
+        raise ValueError(f"need 0 < redundancy <= machine count, got L={l}, N={n}")
+    if (l * f) % n != 0:
+        raise DivisibilityError(f"machine count {n} does not divide {l * f}")
+    if l == n:
+        # full replication is the only valid shape
+        return TaskAllocation.from_sets([frozenset(range(f))] * n,
+                                        redundancy=l, n_tasks=f)
+    load = l * f // n
+    pool = [t for t in range(f) for _ in range(l)]
+    for _ in range(_DEAL_ATTEMPTS):
+        rng.shuffle(pool)
+        hands = [pool[i * load:(i + 1) * load] for i in range(n)]
+        swap_budget = 50 * n * load
+        while swap_budget > 0:
+            holder = next((i for i, hand in enumerate(hands)
+                           if len(set(hand)) != load), None)
+            if holder is None:
+                return TaskAllocation.from_sets(
+                    [frozenset(hand) for hand in hands], redundancy=l, n_tasks=f)
+            seen: set[int] = set()
+            slot = next(k for k, t in enumerate(hands[holder])
+                        if t in seen or seen.add(t))
+            duplicate = hands[holder][slot]
+            held = set(hands[holder])
+            while swap_budget > 0:
+                swap_budget -= 1
+                other = rng.randrange(n)
+                k = rng.randrange(load)
+                candidate = hands[other][k]
+                if (other != holder and candidate not in held
+                        and duplicate not in hands[other]):
+                    hands[other][k], hands[holder][slot] = duplicate, candidate
+                    break
+    raise RuntimeError(
+        f"could not repair a random deal for (N={n}, L={l}, F={f}); "
+        f"seed state exhausted after {_DEAL_ATTEMPTS} attempts")
 
 
 def verify_hall(n_samples: int = 200, seed: int = 20240601) -> list[CheckResult]:

@@ -25,7 +25,6 @@ __all__ = [
     "execute_round",
     "elastic_linear_regression",
     "plain_regression_trajectory",
-    "save_matrix",
     "load_matrix",
 ]
 
@@ -143,13 +142,11 @@ def execute_round(job: CodedJob, alloc: TaskAllocation,
 
 
 def plain_regression_trajectory(data: np.ndarray, targets: np.ndarray, steps: int,
-                                learning_rate: float,
-                                initial_weights: np.ndarray | None = None) -> np.ndarray:
-    """Reference gradient descent on the normal equations, no coding, fixed pool."""
+                                learning_rate: float) -> np.ndarray:
+    """Reference gradient descent from zero weights: normal equations, no coding, fixed pool."""
     gram = data.T @ data
     moment = data.T @ targets
-    w = (np.zeros(data.shape[1]) if initial_weights is None
-         else np.asarray(initial_weights, dtype=float))
+    w = np.zeros(data.shape[1])
     trajectory = [w.copy()]
     for _ in range(steps):
         w = w - learning_rate * (gram @ w - moment)
@@ -170,9 +167,8 @@ def elastic_linear_regression(data: np.ndarray, targets: np.ndarray,
                               trace: ElasticTrace, steps: int, learning_rate: float,
                               tolerance: int = 0,
                               n_max: int | None = None,
-                              initial_weights: np.ndarray | None = None,
                               straggler_rng: random.Random | None = None) -> np.ndarray:
-    """Gradient-descent least squares with the per-step product computed coded.
+    """Gradient-descent least squares from zero weights, the per-step product coded.
 
     The Gram matrix and moment vector are computed once up front; every
     iteration then multiplies the fixed Gram matrix by the current weights
@@ -195,8 +191,7 @@ def elastic_linear_regression(data: np.ndarray, targets: np.ndarray,
         n_max = trace.n_max if trace.n_max is not None else peak
     runner = TraceRunner(trace if trace.label_policy == "reuse"
                          else replace(trace, label_policy="reuse"))
-    w = (np.zeros(data.shape[1]) if initial_weights is None
-         else np.asarray(initial_weights, dtype=float))
+    w = np.zeros(data.shape[1])
     job = encode_job(gram, w, trace.n_tasks, trace.redundancy, tolerance, n_max)
     schedule = _event_schedule(len(trace.events), steps)
     trajectory = [w.copy()]
@@ -214,11 +209,6 @@ def elastic_linear_regression(data: np.ndarray, targets: np.ndarray,
         w = w - learning_rate * (result.product - moment)
         trajectory.append(w.copy())
     return np.array(trajectory)
-
-
-def save_matrix(path, array: np.ndarray) -> None:
-    """Write an array in the plain whitespace-delimited numeric text format."""
-    np.savetxt(path, np.atleast_2d(array))
 
 
 def load_matrix(path) -> np.ndarray:

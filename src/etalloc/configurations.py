@@ -58,15 +58,12 @@ class ZwrResult:
     """
 
     n_max: int
-    n_min: int
     removable: int
     discriminant: int
 
-    def __post_init__(self):
-        if self.n_min != self.n_max - self.removable:
-            raise ValueError("inconsistent range bounds")
-        if self.discriminant < 0:
-            raise ValueError("negative discriminant")
+    @property
+    def n_min(self) -> int:
+        return self.n_max - self.removable
 
 
 def validate_configuration(config: Configuration) -> ValidationReport:
@@ -92,7 +89,7 @@ def validate_configuration(config: Configuration) -> ValidationReport:
         if len(a & b) > 1:
             violations.append(
                 f"lines {i + 1} and {j + 1} share {len(a & b)} points")
-    return ValidationReport(ok=not violations, violations=tuple(violations))
+    return ValidationReport(tuple(violations))
 
 
 def fano_plane() -> Configuration:
@@ -313,12 +310,11 @@ def zero_waste_range(n_max: int, redundancy: int) -> ZwrResult:
     disc = l * n * (l * n + 8 * l * l - 16 * l + 6) + (2 * l - 1) ** 2
     if disc < 0:
         raise ValueError(f"negative discriminant {disc} for (n_max={n}, L={l})")
-    removable = 1 + _floor_sub_sqrt(3 * l * n - 2 * n - 2 * l + 1, disc, 4 * l - 2)
-    removable = max(removable, 0)
-    n_min = n - removable
-    if n_min < l:
-        raise ValueError(f"range [{n_min}, {n}] would drop below redundancy {l}")
-    return ZwrResult(n_max=n, n_min=n_min, removable=removable, discriminant=disc)
+    removable = max(1 + _floor_sub_sqrt(3 * l * n - 2 * n - 2 * l + 1, disc, 4 * l - 2), 0)
+    result = ZwrResult(n_max=n, removable=removable, discriminant=disc)
+    if result.n_min < l:
+        raise ValueError(f"range [{result.n_min}, {n}] would drop below redundancy {l}")
+    return result
 
 
 ZWR_FAMILIES = ("l3", "l4", "projective", "q2", "q2m1")
@@ -374,11 +370,14 @@ def configuration_to_document(config: Configuration) -> dict:
 
 
 def configuration_from_document(doc: Mapping) -> Configuration:
-    """Inverse of :func:`configuration_to_document`; each line must be a list of integers."""
+    """Inverse of :func:`configuration_to_document`; each line must be a list of
+    integers, not booleans."""
     v, k = _field(doc, "v", "configuration", int), _field(doc, "k", "configuration", int)
     lines = []
     for i, line in enumerate(_field(doc, "lines", "configuration", list)):
         try:
+            if any(isinstance(p, bool) for p in line):
+                raise TypeError("a boolean is not a point")
             lines.append(frozenset(map(operator.index, line)))
         except TypeError as exc:
             raise ValueError(

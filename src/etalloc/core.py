@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import operator
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -32,10 +31,8 @@ __all__ = [
     "mod_interval",
     "validate_tas",
     "holder_classes",
-    "incidence_matrix",
     "necessary_load_change",
     "transition_waste",
-    "padded_task_count",
     "tas_to_document",
     "tas_from_document",
     "tas_to_json",
@@ -207,8 +204,11 @@ class ElasticEvent:
 class ValidationReport:
     """Outcome of checking the TAS axioms; violations are data, not exceptions."""
 
-    ok: bool
     violations: tuple[str, ...] = ()
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
 
 @dataclass(frozen=True)
@@ -223,8 +223,11 @@ class TransitionOutcome:
     old_alloc: TaskAllocation
     new_alloc: TaskAllocation
     per_machine_waste: dict[int, int]
-    total_waste: int
     necessary_load_change: int
+
+    @property
+    def total_waste(self) -> int:
+        return sum(self.per_machine_waste.values())
 
 
 def validate_tas(alloc: TaskAllocation) -> ValidationReport:
@@ -266,7 +269,7 @@ def validate_tas(alloc: TaskAllocation) -> ValidationReport:
     for t in np.flatnonzero(coverage != l).tolist():
         violations.append(
             f"redundancy: task {t} covered by {int(coverage[t])} machines, expected {l}")
-    return ValidationReport(ok=not violations, violations=tuple(violations))
+    return ValidationReport(tuple(violations))
 
 
 def require_valid(alloc: TaskAllocation, context: str = "allocation") -> None:
@@ -312,20 +315,6 @@ def _group_by_holders(alloc: TaskAllocation) -> Mapping[tuple[int, ...], tuple[i
         groups.setdefault(key, []).append(t)
     return MappingProxyType({tuple(m for i, m in enumerate(labels) if key >> i & 1): tuple(tasks)
                              for key, tasks in groups.items()})
-
-
-def incidence_matrix(alloc: TaskAllocation) -> np.ndarray:
-    """The F-by-N 0/1 matrix with a one where a task lies in a machine's set.
-
-    Rows are tasks, columns follow the allocation's machine order.  Row weight
-    is the redundancy, column weight the balanced load.
-    """
-    require_valid(alloc)
-    mat = np.zeros((alloc.n_tasks, alloc.n_machines), dtype=int)
-    for col, m in enumerate(alloc.machine_ids):
-        for t in alloc.task_sets[m]:
-            mat[t, col] = 1
-    return mat
 
 
 def necessary_load_change(n_from: int, n_to: int, redundancy: int, n_tasks: int) -> int:
@@ -379,21 +368,8 @@ def transition_waste(old: TaskAllocation, new: TaskAllocation,
         old_alloc=old,
         new_alloc=new,
         per_machine_waste=per_machine,
-        total_waste=sum(per_machine.values()),
         necessary_load_change=delta,
     )
-
-
-def padded_task_count(n_tasks: int, n_low: int, n_high: int) -> int:
-    """Smallest F' >= n_tasks divisible by N(N+1) for every N in [n_low, n_high].
-
-    Padding with dummy tasks up to F' makes every join transition in the range
-    well defined; it is always the caller's explicit choice.
-    """
-    if not 1 <= n_low <= n_high:
-        raise ValueError(f"need 1 <= n_low <= n_high, got [{n_low}, {n_high}]")
-    step = math.lcm(*(n * (n + 1) for n in range(n_low, n_high + 1)))
-    return ((n_tasks + step - 1) // step) * step
 
 
 def tas_to_document(alloc: TaskAllocation) -> dict:
@@ -436,12 +412,14 @@ def _field(doc, key: str, where: str, kind: type = object, default=_REQUIRED):
 
 
 def tas_from_document(doc: Mapping) -> TaskAllocation:
-    """Inverse of :func:`tas_to_document`; task lists must hold integers."""
+    """Inverse of :func:`tas_to_document`; task lists must hold integers, not booleans."""
     ids, task_sets = [], {}
     for i, entry in enumerate(_field(doc, "machines", "allocation", list)):
         m = _field(entry, "id", f"machine entry {i}", int)
         ids.append(m)
         task_sets[m] = _field(entry, "tasks", f"machine {m}", list)
+        if any(isinstance(t, bool) for t in task_sets[m]):
+            raise ValueError(f"machine {m} holds a non-integer task index: a boolean")
     return TaskAllocation(
         n_machines=_field(doc, "n_machines", "allocation", int),
         redundancy=_field(doc, "redundancy", "allocation", int),

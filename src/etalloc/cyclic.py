@@ -24,7 +24,6 @@ from .core import (
 __all__ = [
     "ShiftedCyclicParams",
     "cyclic_tas",
-    "shifted_cyclic_tas",
     "cyclic_allocation",
     "cyclic_tas_after_leave",
     "cyclic_join_waste_closed_form",
@@ -82,12 +81,6 @@ def cyclic_allocation(labels: Sequence[int], redundancy: int, n_tasks: int,
 def cyclic_tas(n_machines: int, redundancy: int, n_tasks: int) -> TaskAllocation:
     """The cyclic (N, L, F) allocation with machines labelled 1..N."""
     return cyclic_allocation(range(1, n_machines + 1), redundancy, n_tasks)
-
-
-def shifted_cyclic_tas(params: ShiftedCyclicParams) -> TaskAllocation:
-    """The shift-offset cyclic allocation described by ``params``; shift 0 is plain cyclic."""
-    return cyclic_allocation(range(1, params.n_machines + 1), params.redundancy,
-                             params.n_tasks, params.shift)
 
 
 def cyclic_tas_after_leave(n_machines: int, redundancy: int, n_tasks: int,

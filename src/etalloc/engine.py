@@ -111,20 +111,30 @@ class EventRecord:
     machine: int | None
     waste: int
     load_change: int
-    feasible: bool
     degraded: bool = False
     shift: int | None = None
+
+    @property
+    def feasible(self) -> bool:
+        """A zero-waste move existed; false exactly when the fallback ran."""
+        return not self.degraded
 
 
 @dataclass(frozen=True)
 class SimulationReport:
     strategy: str
     records: tuple[EventRecord, ...]
-    cumulative_waste: int
-    infeasible_count: int
     machine_stats: dict[int, tuple[int, int]]  # label -> (abandoned, acquired)
     final: TaskAllocation
     aborted: str | None = None
+
+    @property
+    def cumulative_waste(self) -> int:
+        return sum(r.waste for r in self.records)
+
+    @property
+    def infeasible_count(self) -> int:
+        return sum(r.degraded for r in self.records)
 
 
 class TraceRunner:
@@ -202,7 +212,7 @@ class TraceRunner:
         for m in new_alloc.machine_ids:
             self._stats.setdefault(m, [0, 0])
         record = EventRecord(index, event.kind, machine, outcome.total_waste, delta,
-                             feasible=not degraded, degraded=degraded, shift=shift)
+                             degraded=degraded, shift=shift)
         self.allocation = new_alloc
         if shift is not None:
             self.shift = shift
@@ -260,12 +270,9 @@ class TraceRunner:
         return machine, zero_waste_join(alloc, machine), None, False
 
     def report(self) -> SimulationReport:
-        records = self.records
         return SimulationReport(
             strategy=self.strategy,
-            records=records,
-            cumulative_waste=sum(r.waste for r in records),
-            infeasible_count=sum(1 for r in records if not r.feasible),
+            records=self.records,
             machine_stats={m: (a, b) for m, (a, b) in sorted(self._stats.items())},
             final=self.allocation)
 

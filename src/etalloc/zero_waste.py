@@ -12,14 +12,12 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
 from .core import (
-    DivisibilityError,
     InfeasibleTransitionError,
     TaskAllocation,
     TransitionOutcome,
@@ -40,7 +38,6 @@ __all__ = [
     "find_delta_matching",
     "zero_waste_leave",
     "best_effort_leave",
-    "random_tas",
 ]
 
 _MAX_ENUMERATION_MACHINES = 20
@@ -92,10 +89,13 @@ class DeltaMatching:
 
 @dataclass(frozen=True)
 class HallResult:
-    """Feasibility verdict plus, when infeasible, a violating machine subset."""
+    """A violating machine subset, or None when the counting condition holds."""
 
-    feasible: bool
     witness: tuple[int, ...] | None = None
+
+    @property
+    def feasible(self) -> bool:
+        return self.witness is None
 
 
 def zero_waste_join(alloc: TaskAllocation, new_machine: int) -> TransitionOutcome:
@@ -155,8 +155,8 @@ def hall_feasible_for_leaver(alloc: TaskAllocation, leaver: int) -> HallResult:
         for subset in itertools.combinations(survivors, size):
             absorbable = frozenset().union(*(graph.neighbors[u] for u in subset))
             if len(absorbable) < size * graph.delta:
-                return HallResult(feasible=False, witness=subset)
-    return HallResult(feasible=True)
+                return HallResult(witness=subset)
+    return HallResult()
 
 
 def hall_feasible_all_leavers(alloc: TaskAllocation) -> HallResult:
@@ -182,9 +182,8 @@ def hall_feasible_all_leavers(alloc: TaskAllocation) -> HallResult:
         for pair in itertools.combinations(holder_set, 2):
             pair_common[pair] += len(tasks)
     if max(pair_common.values(), default=0) <= (n - l) * delta:
-        return HallResult(feasible=True)
-    witness = _first_violating_subset(classes, n, delta)
-    return HallResult(feasible=witness is None, witness=witness)
+        return HallResult()
+    return HallResult(witness=_first_violating_subset(classes, n, delta))
 
 
 def _first_violating_subset(classes: Mapping[tuple[int, ...], tuple[int, ...]], n: int,
@@ -234,7 +233,10 @@ class _ResidualNetwork:
 
         On return ``level[v] >= 0`` exactly for the nodes the source still
         reaches in the residual graph: the source side of a minimum cut.
+        Each search starts with the source's residual out-capacity, so a push
+        is never cut short below what any path can carry.
         """
+        limit = sum(self.cap[idx] for idx in self.head[source])
         flow = 0
         while True:
             level = [-1] * self.n
@@ -267,7 +269,7 @@ class _ResidualNetwork:
                 return 0
 
             while True:
-                pushed = dfs(source, 1 << 60)
+                pushed = dfs(source, limit)
                 if pushed == 0:
                     break
                 flow += pushed
@@ -435,52 +437,3 @@ def best_effort_leave(alloc: TaskAllocation, leaver: int) -> TransitionOutcome:
     new_alloc = TaskAllocation._derived(
         l, f, survivors, {m: frozenset(s) for m, s in new_sets.items()})
     return transition_waste(alloc, new_alloc, leaver=leaver)
-
-
-def random_tas(n_machines: int, redundancy: int, n_tasks: int,
-               rng: random.Random, max_attempts: int = 50) -> TaskAllocation:
-    """Random column-regular allocation for property tests.
-
-    Deals a shuffled multiset of L copies of every task into N equal hands,
-    then repairs duplicate-holding hands by random pairwise swaps (each
-    admissible swap strictly shrinks the duplicate excess, so repair
-    terminates).  The caller owns the seeded ``rng`` so runs are reproducible.
-    """
-    n, l, f = n_machines, redundancy, n_tasks
-    if not 0 < l <= n:
-        raise ValueError(f"need 0 < redundancy <= machine count, got L={l}, N={n}")
-    if (l * f) % n != 0:
-        raise DivisibilityError(f"machine count {n} does not divide {l * f}")
-    if l == n:
-        # full replication is the only valid shape
-        return TaskAllocation.from_sets([frozenset(range(f))] * n,
-                                        redundancy=l, n_tasks=f)
-    load = l * f // n
-    pool = [t for t in range(f) for _ in range(l)]
-    for _ in range(max_attempts):
-        rng.shuffle(pool)
-        hands = [pool[i * load:(i + 1) * load] for i in range(n)]
-        swap_budget = 50 * n * load
-        while swap_budget > 0:
-            holder = next((i for i, hand in enumerate(hands)
-                           if len(set(hand)) != load), None)
-            if holder is None:
-                return TaskAllocation.from_sets(
-                    [frozenset(hand) for hand in hands], redundancy=l, n_tasks=f)
-            seen: set[int] = set()
-            slot = next(k for k, t in enumerate(hands[holder])
-                        if t in seen or seen.add(t))
-            duplicate = hands[holder][slot]
-            held = set(hands[holder])
-            while swap_budget > 0:
-                swap_budget -= 1
-                other = rng.randrange(n)
-                k = rng.randrange(load)
-                candidate = hands[other][k]
-                if (other != holder and candidate not in held
-                        and duplicate not in hands[other]):
-                    hands[other][k], hands[holder][slot] = duplicate, candidate
-                    break
-    raise RuntimeError(
-        f"could not repair a random deal for (N={n}, L={l}, F={f}); "
-        f"seed state exhausted after {max_attempts} attempts")

@@ -118,8 +118,8 @@ def hall_feasible_all_leavers_enumerated(alloc: TaskAllocation) -> HallResult:
         for subset in itertools.combinations(machines, size):
             common = frozenset.intersection(*(alloc.task_sets[m] for m in subset))
             if len(common) > (n - size) * delta:
-                return HallResult(feasible=False, witness=subset)
-    return HallResult(feasible=True)
+                return HallResult(witness=subset)
+    return HallResult()
 
 
 def best_effort_leave_cold(alloc: TaskAllocation, leaver: int) -> TransitionOutcome:
@@ -184,7 +184,7 @@ def validate_tas_per_element(alloc: TaskAllocation) -> ValidationReport:
     for t, c in enumerate(coverage):
         if c != l:
             violations.append(f"redundancy: task {t} covered by {c} machines, expected {l}")
-    return ValidationReport(ok=not violations, violations=tuple(violations))
+    return ValidationReport(tuple(violations))
 
 
 class FieldPerCall:
@@ -281,5 +281,4 @@ def family_zero_waste_range_specialized(family: str, q: int | None = None,
     else:
         raise ValueError(f"unknown family {family!r}; choose one of {ZWR_FAMILIES}")
     removable = max(1 + _floor_sub_sqrt(a, disc, b), 0)
-    return ZwrResult(n_max=n_max, n_min=n_max - removable,
-                     removable=removable, discriminant=disc)
+    return ZwrResult(n_max=n_max, removable=removable, discriminant=disc)

@@ -38,7 +38,6 @@ from etalloc import (
     optimal_shift_leave,
     plain_regression_trajectory,
     projective_plane,
-    random_tas,
     tas_from_configuration,
     transition_waste,
     tree_navigate,
@@ -47,7 +46,7 @@ from etalloc import (
     validate_tas,
     zero_waste_range,
 )
-from etalloc.checks import doubled_block_tas, perturbed
+from etalloc.checks import doubled_block_tas, perturbed, random_tas
 
 
 class _Stopwatch:

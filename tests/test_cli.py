@@ -312,6 +312,25 @@ def test_malformed_documents_are_usage_errors(command, doc, field, tmp_path, cap
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["transition", "simulate"])
+def test_boolean_task_is_usage_error(command, tmp_path, capsys):
+    # Read as task 1, this true would leave a valid (5,3,20) allocation.
+    doc = tas_to_document(cyclic_allocation(range(1, 6), 3, 20))
+    doc["machines"][0]["tasks"][1] = True
+    path = tmp_path / "doc.json"
+    if command == "transition":
+        path.write_text(json.dumps(doc))
+        argv = ["transition", "--tas", str(path), "--leave", "5", "--strategy", "zero_waste"]
+    else:
+        path.write_text(json.dumps({
+            "initial": {"n0": 5, "l": 3, "f": 20, "strategy": "zero_waste", "seed_tas": doc},
+            "events": [{"kind": "leave", "machine": 5}]}))
+        argv = ["simulate", "--trace", str(path)]
+    code, out, err = run(argv, capsys)
+    assert code == 2 and err.startswith("error:") and "non-integer task index" in err
+    assert not out
+
+
 class TestSimulate:
     @pytest.fixture
     def trace_file(self, tmp_path):
@@ -497,10 +516,9 @@ class TestCodedDemo:
 
     def test_matrix_files(self, tmp_path, capsys):
         import numpy as np
-        from etalloc.coded import save_matrix
         rng = np.random.default_rng(7)
-        save_matrix(tmp_path / "a.txt", rng.normal(size=(40, 4)))
-        save_matrix(tmp_path / "x.txt", rng.normal(size=4))
+        np.savetxt(tmp_path / "a.txt", rng.normal(size=(40, 4)))
+        np.savetxt(tmp_path / "x.txt", rng.normal(size=4))
         code, out, _ = run(["coded-demo", "--matrix", str(tmp_path / "a.txt"),
                             "--vector", str(tmp_path / "x.txt"),
                             "--straggler", "5"], capsys)

@@ -327,6 +327,8 @@ class TestSerialization:
         ({"v": 7.8, "k": 3, "lines": []}, "'v' must be int, got float"),
         ({"v": 7, "k": "3", "lines": []}, "'k' must be int, got str"),
         ({"v": True, "k": 3, "lines": []}, "'v' must be int, got bool"),
+        ({"v": 3, "k": 2, "lines": [[True, 2], [2, 3], [1, 3]]},
+         "line 1 must list integer points: a boolean"),
     ])
     def test_malformed_documents_name_the_field(self, doc, field):
         with pytest.raises(ValueError, match=field):

@@ -7,6 +7,7 @@ import pytest
 from etalloc import (
     DivisibilityError,
     ShiftedCyclicParams,
+    cyclic_allocation,
     cyclic_join_waste_closed_form,
     cyclic_leave_waste_average,
     cyclic_leave_waste_closed_form,
@@ -17,7 +18,6 @@ from etalloc import (
     optimal_shift_join,
     optimal_shift_leave,
     shift_waste_profile,
-    shifted_cyclic_tas,
     shifted_join_waste_piecewise,
     transition_waste,
     validate_tas,
@@ -56,7 +56,7 @@ class TestConstruction:
             cyclic_tas(3, 2, 8)
 
     def test_shifted_17_matches_zero_waste_layout(self):
-        alloc = shifted_cyclic_tas(ShiftedCyclicParams(4, 3, 20, shift=17))
+        alloc = cyclic_allocation(range(1, 5), 3, 20, 17)
         assert sets(alloc) == [
             set(range(17, 20)) | set(range(0, 12)),
             set(range(2, 17)),
@@ -65,11 +65,11 @@ class TestConstruction:
         ]
 
     def test_zero_shift_reduces_to_cyclic(self):
-        assert shifted_cyclic_tas(ShiftedCyclicParams(4, 3, 20, shift=0)) == \
-            cyclic_tas(4, 3, 20)
+        assert cyclic_allocation(range(1, 5), 3, 20, 0) == cyclic_tas(4, 3, 20)
+        assert cyclic_allocation(range(1, 5), 3, 20, 20) == cyclic_tas(4, 3, 20)
 
     def test_shift_three(self):
-        alloc = shifted_cyclic_tas(ShiftedCyclicParams(4, 3, 20, shift=3))
+        alloc = cyclic_allocation(range(1, 5), 3, 20, 3)
         assert set(alloc.task_sets[1]) == set(range(3, 18))
 
     def test_shift_is_reduced_mod_tasks(self):

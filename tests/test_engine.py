@@ -1,5 +1,6 @@
 """Trace execution, strategy comparison, and the transition tree."""
 
+import json
 import math
 import random
 
@@ -28,6 +29,7 @@ from etalloc import (
 )
 from etalloc import core, engine, zero_waste
 from etalloc.checks import doubled_block_tas, perturbed
+from etalloc.cli import main
 from etalloc.engine import STRATEGIES, report_rows, report_to_document
 
 FIG1_TRACE = ElasticTrace(initial_machines=5, redundancy=3, n_tasks=20,
@@ -511,7 +513,7 @@ class TestTraceSerialization:
         with pytest.raises(ValueError, match="trace event 0: 'machine' must be int"):
             trace_from_document(doc)
 
-    def test_report_exports(self):
+    def test_report_exports(self, tmp_path, capsys):
         report = run_trace(FIG1_TRACE, strategy="cyclic")
         doc = report_to_document(report)
         assert doc["cumulative_waste"] == 12
@@ -519,3 +521,17 @@ class TestTraceSerialization:
         rows = report_rows(report)
         assert rows[0].startswith("index\t")
         assert rows[1].split("\t")[3] == "12"
+        # A degraded leave: machine 2 can absorb none of its twin 1's tasks.
+        degraded = ElasticTrace(6, 2, 30, strategy="zero_waste_with_fallback",
+                                seed_allocation=doubled_block_tas(6, 30),
+                                events=(ElasticEvent.leave(1),))
+        report = run_trace(degraded)
+        doc = report_to_document(report)
+        assert doc["events"][0]["feasible"] is False and doc["events"][0]["degraded"] is True
+        assert doc["infeasible_count"] == report.infeasible_count == 1
+        assert doc["cumulative_waste"] == report.records[0].waste > 0
+        assert report_rows(report)[1].split("\t")[5] == "false"
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(trace_to_document(degraded)))
+        assert main(["simulate", "--trace", str(path)]) == 1
+        assert "1 infeasible events over 1" in capsys.readouterr().err
