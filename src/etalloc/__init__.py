@@ -75,15 +75,11 @@ from .engine import (
     EventRecord,
     SimulationReport,
     TraceRunner,
-    TransitionTree,
-    TreeNode,
-    build_transition_tree,
     compare_strategies,
     full_tree_node_count,
     run_trace,
     trace_from_document,
     trace_to_document,
-    tree_navigate,
 )
 from .coded import (
     CodedJob,

@@ -10,6 +10,7 @@ corpora that the suites, the tests and the benchmark draw from.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,9 +31,8 @@ from .configurations import (
     zwr_task_count,
 )
 from .core import DivisibilityError, ElasticEvent, InfeasibleTransitionError, \
-    TaskAllocation, transition_waste
-from .engine import ElasticTrace, build_transition_tree, full_tree_node_count, \
-    tree_navigate
+    TaskAllocation
+from .engine import ElasticTrace, TraceRunner, full_tree_node_count
 from .zero_waste import (
     build_transition_graph,
     hall_feasible_all_leavers,
@@ -42,7 +42,7 @@ from .zero_waste import (
 
 __all__ = ["CheckResult", "verify_formulas", "verify_hall", "verify_zwr",
            "verify_coded", "SUITES", "run_suite", "doubled_block_tas", "perturbed",
-           "random_tas"]
+           "random_tas", "probe_zero_waste_depth"]
 
 
 @dataclass(frozen=True)
@@ -274,9 +274,11 @@ def verify_hall(n_samples: int = 200, seed: int = 20240601) -> list[CheckResult]
             if oracle.feasible != (witness is None):
                 disagreements.append((i, leaver))
             if witness is not None:
+                # J can absorb a class unless every member of J already holds it.
                 graph = build_transition_graph(alloc, leaver)
-                absorbable = frozenset().union(*(graph.neighbors[u] for u in witness))
-                if len(absorbable) >= graph.delta * len(witness):
+                absorbable = sum(len(tasks) for holders, tasks in graph.classes.items()
+                                 if not set(witness) <= set(holders))
+                if absorbable >= graph.delta * len(witness):
                     bad_witnesses.append((i, leaver))
             if oracle.feasible:
                 feasible_count += 1
@@ -345,28 +347,28 @@ def verify_zwr(family: str = "fano") -> list[CheckResult]:
             "(13,4) range is [9,13] with four removable machines",
             (lambda r: (r.n_min, r.n_max, r.removable) == (9, 13, 4))(zero_waste_range(13, 4)),
             ""))
-        f = zwr_task_count(5, 7)
+        f = zwr_task_count(5, 7, 3)
         alloc = tas_from_configuration(fano_plane(), f)
-        tree = build_transition_tree(alloc, n_min=5)
-        built = tree.expand_fully()
+        # One exhaustive walk, one machine below the range, gives both the
+        # in-range state count and the below-range report.
+        probe = probe_zero_waste_depth(alloc, floor=4)
+        built = 1 + sum(ok for size, (ok, _) in probe.items() if size >= 5)
         expected = full_tree_node_count(7, 5)
         results.append(CheckResult(
             "fully expanded Fano transition tree has the predicted node count",
             built == expected, f"F={f}, built {built}, predicted {expected}"))
+        trace = ElasticTrace(initial_machines=7, redundancy=3, n_tasks=f,
+                             strategy="zero_waste", n_min=5, seed_allocation=alloc)
         pair_bad, join_bad = [], []
-        for first in sorted(alloc.machine_ids):
-            child = tree.child(tree.root, first)
-            w1 = transition_waste(alloc, child.allocation, leaver=first).total_waste
-            for second in sorted(child.allocation.machine_ids):
-                grand = tree.child(child, second)
-                w2 = transition_waste(child.allocation, grand.allocation,
-                                      leaver=second).total_waste
-                if w1 or w2:
-                    pair_bad.append((first, second, w1, w2))
-                back = tree_navigate(tree, grand, ElasticEvent.join())
-                up = transition_waste(grand.allocation, back.allocation).total_waste
-                if up or back is not child:
-                    join_bad.append((first, second))
+        for first, second in itertools.permutations(sorted(alloc.machine_ids), 2):
+            runner = TraceRunner(trace)
+            w1 = runner.apply(ElasticEvent.leave(first)).waste
+            child = runner.allocation
+            w2 = runner.apply(ElasticEvent.leave(second)).waste
+            if w1 or w2:
+                pair_bad.append((first, second, w1, w2))
+            if runner.apply(ElasticEvent.join()).waste or runner.allocation is not child:
+                join_bad.append((first, second))
         results.append(CheckResult(
             "all 42 ordered leave pairs from the Fano allocation are zero waste",
             not pair_bad, f"violations {pair_bad}" if pair_bad else ""))
@@ -374,7 +376,6 @@ def verify_zwr(family: str = "fano") -> list[CheckResult]:
             "joins climb back to the parent state at zero waste",
             not join_bad, f"violations {join_bad}" if join_bad else ""))
         # reported, not asserted: how far below the proven floor chains survive
-        probe = probe_zero_waste_depth(alloc, floor=4)
         results.append(CheckResult(
             "below-range survival probe (report only)", True,
             "; ".join(f"to {size} machines: {ok} feasible / {bad} infeasible"

@@ -234,7 +234,7 @@ def _cmd_zwr(args) -> int:
     else:
         n_max, redundancy = args.nmax, args.l
     result = zero_waste_range(n_max, redundancy)
-    f = zwr_task_count(result.n_min, result.n_max)
+    f = zwr_task_count(result.n_min, result.n_max, redundancy)
     if args.format == "structured":
         print(json.dumps({
             "n_max": result.n_max, "n_min": result.n_min,

@@ -349,16 +349,18 @@ def _family_parameters(family: str, q: int | None, n_max: int | None) -> tuple[i
             "q2m1": (q * q - 1, q)}[family]
 
 
-def zwr_task_count(n_min: int, n_max: int) -> int:
-    """Least task count divisible by N(N-1) for every pool size N in [n_min, n_max].
+def zwr_task_count(n_min: int, n_max: int, redundancy: int) -> int:
+    """Least task count F with N(N-1) | L*F for every pool size N in [n_min, n_max].
 
     Makes every leave inside the range (and the probe one step below it) have
-    an integral load change; also divisible by n_max as the configuration
-    embedding requires.
+    an integral load change L*F/(N(N-1)); also divisible by n_max as the
+    configuration embedding requires.
     """
-    if not 2 <= n_min <= n_max:
-        raise ValueError(f"need 2 <= n_min <= n_max, got [{n_min}, {n_max}]")
-    return math.lcm(*(n * (n - 1) for n in range(n_min, n_max + 1)))
+    if not 2 <= n_min <= n_max or redundancy < 1:
+        raise ValueError(f"need 2 <= n_min <= n_max and L >= 1, "
+                         f"got [{n_min}, {n_max}], L={redundancy}")
+    return math.lcm(n_max, *(n * (n - 1) // math.gcd(n * (n - 1), redundancy)
+                             for n in range(n_min, n_max + 1)))
 
 
 def configuration_to_document(config: Configuration) -> dict:

@@ -412,7 +412,7 @@ def _field(doc, key: str, where: str, kind: type = object, default=_REQUIRED):
 
 
 def tas_from_document(doc: Mapping) -> TaskAllocation:
-    """Inverse of :func:`tas_to_document`; task lists must hold integers, not booleans."""
+    """Inverse of :func:`tas_to_document`; task lists hold distinct integers, not booleans."""
     ids, task_sets = [], {}
     for i, entry in enumerate(_field(doc, "machines", "allocation", list)):
         m = _field(entry, "id", f"machine entry {i}", int)
@@ -420,13 +420,18 @@ def tas_from_document(doc: Mapping) -> TaskAllocation:
         task_sets[m] = _field(entry, "tasks", f"machine {m}", list)
         if any(isinstance(t, bool) for t in task_sets[m]):
             raise ValueError(f"machine {m} holds a non-integer task index: a boolean")
-    return TaskAllocation(
+    alloc = TaskAllocation(
         n_machines=_field(doc, "n_machines", "allocation", int),
         redundancy=_field(doc, "redundancy", "allocation", int),
         n_tasks=_field(doc, "n_tasks", "allocation", int),
         machine_ids=tuple(ids),
         task_sets=task_sets,
     )
+    # After the constructor, so that unhashable entries fail as non-integers first.
+    for m, tasks in task_sets.items():
+        if len(tasks) != len(alloc.task_sets[m]):
+            raise ValueError(f"machine {m} lists a task index more than once")
+    return alloc
 
 
 def tas_to_json(alloc: TaskAllocation) -> str:

@@ -6,16 +6,12 @@ and measures every transition's waste by set arithmetic (closed forms are
 assertions elsewhere, never the source of truth here).  A zero-waste runner
 keeps a stack of the states it left; a join climbs back to the top one and
 may name no machine but the one that left it.
-A :class:`TransitionTree` does not serve as that stack: it memoises every
-child it visits, so its memory grows with the leaves of a long walk, while the
-stack holds at most n_max - n_min states; and degraded fallback states are
-not tree nodes.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 from . import cyclic as cyc
@@ -39,11 +35,7 @@ __all__ = [
     "EventRecord",
     "SimulationReport",
     "TraceRunner",
-    "TreeNode",
-    "TransitionTree",
     "run_trace",
-    "build_transition_tree",
-    "tree_navigate",
     "full_tree_node_count",
     "compare_strategies",
     "trace_to_document",
@@ -318,90 +310,10 @@ def compare_strategies(trace: ElasticTrace,
     return results
 
 
-@dataclass
-class TreeNode:
-    """One state of the zero-waste transition tree: who is active and with what tasks."""
-
-    allocation: TaskAllocation
-    parent: "TreeNode | None" = None
-    leaver_from_parent: int | None = None
-    children: dict[int, "TreeNode"] = field(default_factory=dict)
-
-    @property
-    def path(self) -> tuple[int, ...]:
-        node, out = self, []
-        while node.parent is not None:
-            out.append(node.leaver_from_parent)
-            node = node.parent
-        return tuple(reversed(out))
-
-
-@dataclass
-class TransitionTree:
-    """Lazily grown tree of zero-waste states between n_min and the root size.
-
-    Children are keyed by the leaving machine's label and memoized per ordered
-    removal sequence; the same subset reached in a different order is a
-    different node because the intermediate allocations differ.
-    """
-
-    root: TreeNode
-    n_min: int
-
-    def child(self, node: TreeNode, leaver: int) -> TreeNode:
-        """The state after ``leaver`` departs from ``node``, expanding on demand."""
-        if node.allocation.n_machines <= self.n_min:
-            raise EtallocError(
-                f"cannot leave below n_min={self.n_min} (node {node.path})")
-        if leaver in node.children:
-            return node.children[leaver]
-        if leaver not in node.allocation.task_sets:
-            raise ValueError(f"machine {leaver} is not active at node {node.path}")
-        try:
-            outcome = zero_waste_leave(node.allocation, leaver)
-        except InfeasibleTransitionError as exc:
-            raise InfeasibleTransitionError(
-                f"no zero-waste transition at node {node.path} for leaver {leaver}; "
-                f"violating machine subset: {list(exc.witness)}", witness=exc.witness) from None
-        child = TreeNode(allocation=outcome.new_alloc, parent=node,
-                         leaver_from_parent=leaver)
-        node.children[leaver] = child
-        return child
-
-    def expand_fully(self) -> int:
-        """Build every node down to n_min; returns the total node count."""
-        count = 0
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            count += 1
-            if node.allocation.n_machines > self.n_min:
-                for leaver in sorted(node.allocation.machine_ids):
-                    stack.append(self.child(node, leaver))
-        return count
-
-
-def build_transition_tree(root_alloc: TaskAllocation, n_min: int) -> TransitionTree:
-    """Root a transition tree at a validated allocation; children grow on demand."""
-    require_valid(root_alloc, "root allocation")
-    if not root_alloc.redundancy <= n_min <= root_alloc.n_machines:
-        raise ValueError(
-            f"n_min={n_min} outside [{root_alloc.redundancy}, {root_alloc.n_machines}]")
-    return TransitionTree(root=TreeNode(allocation=root_alloc), n_min=n_min)
-
-
-def tree_navigate(tree: TransitionTree, node: TreeNode, event: ElasticEvent) -> TreeNode:
-    """Follow one elastic event through the tree: leave descends, join ascends."""
-    if event.kind == "leave":
-        return tree.child(node, event.machine)
-    if node.parent is None:
-        raise EtallocError("cannot join at the root of the transition tree")
-    return node.parent
-
-
 def full_tree_node_count(n_max: int, n_min: int) -> int:
-    """Closed-form node count of a fully expanded tree: one root plus all ordered
-    removal sequences of length up to n_max - n_min."""
+    """Closed-form count of the zero-waste states from n_max down to n_min: one
+    root plus all ordered removal sequences of length up to n_max - n_min.
+    :func:`etalloc.checks.probe_zero_waste_depth` measures it."""
     total, product = 1, 1
     for height in range(1, n_max - n_min + 1):
         product *= n_max - (height - 1)
@@ -449,7 +361,7 @@ def trace_from_document(doc: Mapping) -> ElasticTrace:
         events=tuple(events),
         n_max=_field(initial, "nmax", "trace initial", int, None),
         n_min=_field(initial, "nmin", "trace initial", int, None),
-        seed_allocation=tas_from_document(seed) if seed else None,
+        seed_allocation=tas_from_document(seed) if seed is not None else None,
         initial_shift=_field(initial, "shift", "trace initial", int, 0),
         label_policy=_field(initial, "label_policy", "trace initial", str, "fresh"))
 

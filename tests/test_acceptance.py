@@ -17,8 +17,8 @@ from etalloc import (
     ElasticEvent,
     ElasticTrace,
     TaskAllocation,
+    TraceRunner,
     build_transition_graph,
-    build_transition_tree,
     cyclic_join_waste_closed_form,
     cyclic_leave_waste_average,
     cyclic_leave_waste_closed_form,
@@ -40,13 +40,12 @@ from etalloc import (
     projective_plane,
     tas_from_configuration,
     transition_waste,
-    tree_navigate,
     truncated_plane_q2,
     truncated_plane_q2_minus_1,
     validate_tas,
     zero_waste_range,
 )
-from etalloc.checks import doubled_block_tas, perturbed, random_tas
+from etalloc.checks import doubled_block_tas, perturbed, probe_zero_waste_depth, random_tas
 
 
 class _Stopwatch:
@@ -188,23 +187,21 @@ def test_criterion_6_zero_waste_range_reproduction():
         wide = zero_waste_range(13, 4)
         assert (wide.removable, wide.n_min, wide.n_max) == (4, 9, 13)
         alloc = tas_from_configuration(fano_plane(), 420)
-        tree = build_transition_tree(alloc, n_min=5)
-        assert tree.expand_fully() == full_tree_node_count(7, 5) == 50
+        # every zero-waste state down to n_min: 1 + 7 + 42 = 50
+        assert probe_zero_waste_depth(alloc, floor=5) == {6: (7, 0), 5: (42, 0)}
+        assert full_tree_node_count(7, 5) == 50
+        trace = ElasticTrace(7, 3, 420, strategy="zero_waste", n_min=5, seed_allocation=alloc)
         ordered_pairs = 0
-        for first in sorted(alloc.machine_ids):
-            child = tree.child(tree.root, first)
-            assert transition_waste(alloc, child.allocation,
-                                    leaver=first).total_waste == 0
-            for second in sorted(child.allocation.machine_ids):
-                grand = tree.child(child, second)
-                assert transition_waste(child.allocation, grand.allocation,
-                                        leaver=second).total_waste == 0
-                ordered_pairs += 1
-                up = tree_navigate(tree, grand, ElasticEvent.join())
-                assert up is child
-                assert transition_waste(grand.allocation, up.allocation
-                                        ).total_waste == 0
-            assert tree_navigate(tree, child, ElasticEvent.join()) is tree.root
+        for first, second in itertools.permutations(sorted(alloc.machine_ids), 2):
+            runner = TraceRunner(trace)
+            assert runner.apply(ElasticEvent.leave(first)).waste == 0
+            child = runner.allocation
+            assert runner.apply(ElasticEvent.leave(second)).waste == 0
+            ordered_pairs += 1
+            assert runner.apply(ElasticEvent.join()).waste == 0
+            assert runner.allocation is child
+            assert runner.apply(ElasticEvent.join()).waste == 0
+            assert runner.allocation is alloc
         assert ordered_pairs == 42
 
 

@@ -271,6 +271,10 @@ def test_transition_equals_one_event_trace(pool, strategy, event, tmp_path, caps
                         + "\n")
 
 
+# Machine 1 lists task 0 twice; folded into a set, it would load as a valid allocation.
+REPEATED_TASK = tas_to_document(cyclic_allocation(range(1, 6), 3, 20))
+REPEATED_TASK["machines"][0]["tasks"].insert(0, 0)
+
 MALFORMED_DOCUMENTS = [
     ("transition", {"n_machines": 2, "redundancy": 1, "n_tasks": 2,
                     "machines": [{"id": 1}, {"id": 2, "tasks": [1]}]}, "'tasks'"),
@@ -295,13 +299,16 @@ MALFORMED_DOCUMENTS = [
      "'l' must be int, got float"),
     ("simulate", {"initial": {"n0": 5, "l": 3, "f": 20, "nmax": True}, "events": []},
      "'nmax' must be int, got bool"),
+    ("simulate", {"initial": {"n0": 5, "l": 3, "f": 20, "seed_tas": {}}, "events": []},
+     "allocation has no 'machines' field"),
+    ("transition", REPEATED_TASK, "machine 1 lists a task index more than once"),
 ]
 
 
 @pytest.mark.parametrize("command,doc,field", MALFORMED_DOCUMENTS,
                          ids=["no-tasks", "no-n_tasks", "list", "no-kind", "no-events",
                               "list-shift", "float-n_tasks", "bool-redundancy", "str-n0",
-                              "float-l", "bool-nmax"])
+                              "float-l", "bool-nmax", "empty-seed_tas", "repeated-task"])
 def test_malformed_documents_are_usage_errors(command, doc, field, tmp_path, capsys):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
@@ -464,7 +471,7 @@ class TestZwr:
                             "--family", "projective", "--q", "2"], capsys)
         assert code == 0
         doc = json.loads(out)
-        assert (doc["n_max"], doc["n_min"], doc["least_task_count"]) == (7, 5, 420)
+        assert (doc["n_max"], doc["n_min"], doc["least_task_count"]) == (7, 5, 140)
 
     def test_general_parameters(self, capsys):
         code, out, _ = run(["zwr", "--nmax", "13", "--l", "4"], capsys)

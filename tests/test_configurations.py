@@ -285,14 +285,31 @@ class TestFamilyRangeMatchesSpecializedPolynomials:
 
 class TestTaskCountHelper:
     def test_fano_range_needs_420(self):
-        assert zwr_task_count(5, 7) == 420
+        # 420 = lcm N(N-1) over [5, 7]; the Fano pool's L = 3 divides L*F, so 140 suffices.
+        assert zwr_task_count(5, 7, 1) == 420
+        assert zwr_task_count(5, 7, 3) == 140
+        assert zwr_task_count(9, 13, 4) == 12870
+        assert zwr_task_count(14, 21, 5) == 4232592
 
     def test_single_size(self):
-        assert zwr_task_count(7, 7) == 42
+        assert zwr_task_count(7, 7, 3) == 14
 
     def test_guard(self):
         with pytest.raises(ValueError):
-            zwr_task_count(1, 7)
+            zwr_task_count(1, 7, 3)
+        with pytest.raises(ValueError):
+            zwr_task_count(5, 7, 0)
+
+    @pytest.mark.parametrize("n_min,n_max,l", [(5, 7, 3), (9, 13, 4), (3, 6, 2), (4, 9, 6)])
+    def test_least_count_makes_every_leave_integral(self, n_min, n_max, l):
+        f = zwr_task_count(n_min, n_max, l)
+
+        def integral(f):
+            return f % n_max == 0 and all(l * f % (n * (n - 1)) == 0
+                                          for n in range(n_min, n_max + 1))
+
+        assert integral(f)
+        assert not any(integral(d) for d in range(1, f) if f % d == 0)
 
 
 class TestRangeFeasibilityOnRealAllocations:

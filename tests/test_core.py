@@ -163,6 +163,15 @@ class TestBoundaryNormalisation:
         with pytest.raises(ValueError):
             tas_from_document(doc)
 
+    @pytest.mark.parametrize("extra,message", [(0, "lists a task index more than once"),
+                                               ([0], "holds a non-integer task index")])
+    def test_documents_list_each_task_once(self, extra, message):
+        # Folded into the set, a repeated 0 would leave machine 1 valid.
+        doc = tas_to_document(cyclic_tas(5, 3, 20))
+        doc["machines"][0]["tasks"].append(extra)
+        with pytest.raises(ValueError, match=f"machine 1 {message}"):
+            tas_from_document(doc)
+
     @pytest.mark.parametrize("value", [6.9, 6.0, "6", True])
     @pytest.mark.parametrize("key", ["n_machines", "redundancy", "n_tasks", "id"])
     def test_documents_need_integer_scalars(self, key, value):

@@ -1,4 +1,4 @@
-"""Trace execution, strategy comparison, and the transition tree."""
+"""Trace execution, strategy comparison, and walks of the zero-waste transition tree."""
 
 import json
 import math
@@ -12,7 +12,6 @@ from etalloc import (
     EtallocError,
     InfeasibleTransitionError,
     TraceRunner,
-    build_transition_tree,
     compare_strategies,
     cyclic_tas,
     fano_plane,
@@ -23,12 +22,10 @@ from etalloc import (
     tas_from_configuration,
     trace_from_document,
     trace_to_document,
-    transition_waste,
-    tree_navigate,
     validate_tas,
 )
 from etalloc import core, engine, zero_waste
-from etalloc.checks import doubled_block_tas, perturbed
+from etalloc.checks import doubled_block_tas, perturbed, probe_zero_waste_depth
 from etalloc.cli import main
 from etalloc.engine import STRATEGIES, report_rows, report_to_document
 
@@ -267,13 +264,6 @@ class TestSolveOnce:
         assert excinfo.value.witness == (2,)
         assert flows == [1]
 
-    def test_infeasible_tree_child(self, flows):
-        tree = build_transition_tree(doubled_block_tas(4, 12), n_min=2)
-        with pytest.raises(InfeasibleTransitionError) as excinfo:
-            tree.child(tree.root, 1)
-        assert excinfo.value.witness == (2,)
-        assert flows == [1]
-
     def test_infeasible_leave_then_fallback(self, flows, monkeypatch):
         fallbacks = []
         real = engine.best_effort_leave
@@ -324,6 +314,17 @@ class TestBoundsAndLabels:
         runner = TraceRunner(trace)
         with pytest.raises(EtallocError):
             runner.apply(ElasticEvent.leave(9))
+
+    def test_runtime_bounds_refuse_events_outside_the_trace(self):
+        # ElasticTrace refuses these events statically; apply meets them only
+        # when a caller drives the runner with events the trace does not hold.
+        runner = TraceRunner(ElasticTrace(4, 2, 12, n_min=3, n_max=4))
+        with pytest.raises(EtallocError, match="event 0: join would exceed the declared bound 4"):
+            runner.apply(ElasticEvent.join())
+        runner.apply(ElasticEvent.leave(1))
+        with pytest.raises(EtallocError, match="event 1: leave would drop below 3 machines"):
+            runner.apply(ElasticEvent.leave(2))
+        assert runner.allocation.machine_ids == (2, 3, 4)
 
     def test_fresh_labels_grow(self):
         trace = ElasticTrace(initial_machines=4, redundancy=2, n_tasks=60,
@@ -426,68 +427,47 @@ class TestCompareStrategies:
 
 
 class TestTransitionTree:
+    """The probe counts the tree's states; the runner walks it."""
+
+    @staticmethod
+    def states(alloc, n_min):
+        probe = probe_zero_waste_depth(alloc, floor=n_min)
+        assert all(bad == 0 for _, bad in probe.values())
+        return 1 + sum(ok for ok, _ in probe.values())
+
+    @staticmethod
+    def fano_runner():
+        alloc = tas_from_configuration(fano_plane(), 420)
+        return TraceRunner(ElasticTrace(7, 3, 420, strategy="zero_waste", n_min=5,
+                                        seed_allocation=alloc))
+
     def test_small_tree_node_count(self):
-        tree = build_transition_tree(cyclic_tas(3, 1, 6), n_min=1)
-        assert tree.expand_fully() == full_tree_node_count(3, 1) == 10
+        assert self.states(cyclic_tas(3, 1, 6), 1) == full_tree_node_count(3, 1) == 10
 
     def test_fano_tree_node_count(self):
         alloc = tas_from_configuration(fano_plane(), 420)
-        tree = build_transition_tree(alloc, n_min=5)
-        assert tree.expand_fully() == full_tree_node_count(7, 5) == 50
+        assert self.states(alloc, 5) == full_tree_node_count(7, 5) == 50
 
     def test_single_node_tree(self):
-        alloc = cyclic_tas(4, 2, 12)
-        tree = build_transition_tree(alloc, n_min=4)
-        assert tree.expand_fully() == 1
-
-    def test_every_edge_is_zero_waste_and_valid(self):
-        alloc = tas_from_configuration(fano_plane(), 420)
-        tree = build_transition_tree(alloc, n_min=5)
-        tree.expand_fully()
-        stack = [tree.root]
-        while stack:
-            node = stack.pop()
-            stack.extend(node.children.values())
-            assert validate_tas(node.allocation).ok
-            if node.parent is not None:
-                outcome = transition_waste(node.parent.allocation, node.allocation,
-                                           leaver=node.leaver_from_parent)
-                assert outcome.total_waste == 0
+        assert self.states(cyclic_tas(4, 2, 12), 4) == 1
 
     def test_navigation_round_trip(self):
-        alloc = tas_from_configuration(fano_plane(), 420)
-        tree = build_transition_tree(alloc, n_min=5)
-        child = tree_navigate(tree, tree.root, ElasticEvent.leave(3))
-        assert tree_navigate(tree, child, ElasticEvent.join()) is tree.root
+        runner = self.fano_runner()
+        root = runner.allocation
+        runner.apply(ElasticEvent.leave(3))
+        runner.apply(ElasticEvent.join())
+        assert runner.allocation is root
 
     def test_leave_order_matters(self):
-        alloc = tas_from_configuration(fano_plane(), 420)
-        tree = build_transition_tree(alloc, n_min=5)
-        a = tree.child(tree.child(tree.root, 2), 6)
-        b = tree.child(tree.child(tree.root, 6), 2)
-        assert set(a.allocation.machine_ids) == set(b.allocation.machine_ids)
-        assert a.allocation.task_sets != b.allocation.task_sets
+        def walk(*leavers):
+            runner = self.fano_runner()
+            for m in leavers:
+                runner.apply(ElasticEvent.leave(m))
+            return runner.allocation
 
-    def test_join_at_root_errors(self):
-        tree = build_transition_tree(cyclic_tas(3, 1, 6), n_min=1)
-        with pytest.raises(EtallocError):
-            tree_navigate(tree, tree.root, ElasticEvent.join())
-
-    def test_leave_at_depth_limit_errors(self):
-        tree = build_transition_tree(cyclic_tas(3, 1, 6), n_min=2)
-        child = tree.child(tree.root, 1)
-        with pytest.raises(EtallocError):
-            tree.child(child, 2)
-
-    def test_memoized_per_removal_sequence(self):
-        alloc = tas_from_configuration(fano_plane(), 420)
-        tree = build_transition_tree(alloc, n_min=5)
-        assert tree.child(tree.root, 4) is tree.child(tree.root, 4)
-
-    def test_infeasible_child_names_node_and_leaver(self):
-        tree = build_transition_tree(doubled_block_tas(4, 12), n_min=2)
-        with pytest.raises(InfeasibleTransitionError, match="leaver 1"):
-            tree.child(tree.root, 1)
+        a, b = walk(2, 6), walk(6, 2)
+        assert set(a.machine_ids) == set(b.machine_ids)
+        assert a.task_sets != b.task_sets
 
 
 class TestTraceSerialization:
@@ -504,6 +484,12 @@ class TestTraceSerialization:
         doc = trace_to_document(FIG1_TRACE)
         doc["initial"][key] = value
         with pytest.raises(ValueError, match=f"'{key}' must be int, got {type(value).__name__}"):
+            trace_from_document(doc)
+
+    def test_empty_seed_allocation_is_refused(self):
+        doc = trace_to_document(FIG1_TRACE)
+        doc["initial"]["seed_tas"] = {}
+        with pytest.raises(ValueError, match="allocation has no 'machines' field"):
             trace_from_document(doc)
 
     @pytest.mark.parametrize("machine", [5.0, "5", True])

@@ -19,7 +19,6 @@ from etalloc import (
     TransitionGraph,
     best_effort_leave,
     build_transition_graph,
-    build_transition_tree,
     cyclic_allocation,
     cyclic_tas,
     fano_plane,
@@ -397,10 +396,6 @@ class TestClassSolversMatchOracles:
             with pytest.raises(InfeasibleTransitionError) as traced:
                 run_trace(trace)
             assert traced.value.witness == witness and traced.value.event_index == 0
-            tree = build_transition_tree(alloc, n_min=n - 1)
-            with pytest.raises(InfeasibleTransitionError) as child:
-                tree.child(tree.root, leaver)
-            assert child.value.witness == witness
 
     def test_all_leavers_certificate_gives_the_oracle_witness(self):
         # Count which pools the pair bound settles and which need every subset
