@@ -55,11 +55,9 @@ from .zero_waste import (
 from .configurations import (
     Configuration,
     ZwrResult,
-    configuration_from_document,
-    configuration_from_json,
     configuration_to_document,
     configuration_to_json,
-    family_zero_waste_range,
+    family_parameters,
     fano_plane,
     is_prime_power,
     projective_plane,
@@ -75,7 +73,6 @@ from .engine import (
     EventRecord,
     SimulationReport,
     TraceRunner,
-    compare_strategies,
     full_tree_node_count,
     run_trace,
     trace_from_document,

@@ -61,6 +61,9 @@ def _grid(l_max: int, n_max: int, leave: bool):
 def verify_formulas(l_max: int = 5, n_max: int = 8,
                     multiplier: int = 1) -> list[CheckResult]:
     """Closed-form wastes vs set-arithmetic measurement, plus shift optimality sweeps."""
+    if l_max < 2 or n_max < 4:
+        raise ValueError(f"formula grid needs l_max >= 2 and n_max >= 4 to check a leave, "
+                         f"got l_max={l_max}, n_max={n_max}")
     results = []
     join_bad = []
     for l, n in _grid(l_max, n_max, leave=False):
@@ -404,6 +407,8 @@ def verify_zwr(family: str = "fano") -> list[CheckResult]:
 
 def verify_coded(tolerance: int = 1, seed: int = 7, trials: int = 3) -> list[CheckResult]:
     """Decode exactness under stragglers and trajectory invariance under elasticity."""
+    if trials < 1:
+        raise ValueError(f"need at least one decode trial, got {trials}")
     rng = np.random.default_rng(seed)
     results = []
     worst = 0.0

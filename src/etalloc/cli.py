@@ -20,8 +20,8 @@ from . import checks
 from . import cyclic as cyc
 from .configurations import (
     ZWR_FAMILIES,
-    _family_parameters,
     configuration_to_json,
+    family_parameters,
     fano_plane,
     projective_plane,
     tas_from_configuration,
@@ -47,7 +47,7 @@ from .engine import (
     run_trace,
     trace_from_document,
 )
-from .coded import encode_job, execute_round, load_matrix
+from .coded import encode_job, execute_round
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
@@ -183,7 +183,7 @@ def _cmd_simulate(args) -> int:
     print(f"strategy {report.strategy}: cumulative waste {report.cumulative_waste}, "
           f"{report.infeasible_count} infeasible events over {len(report.records)}",
           file=sys.stderr)
-    return 0 if report.infeasible_count == 0 and report.aborted is None else CHECK_FAILURE
+    return 0 if report.infeasible_count == 0 else CHECK_FAILURE
 
 
 def _cmd_verify(args) -> int:
@@ -227,7 +227,7 @@ def _cmd_zwr(args) -> int:
         print(f"zwr {mode} does not take {', '.join(stray)}", file=sys.stderr)
         return USAGE_ERROR
     if args.family:
-        n_max, redundancy = _family_parameters(args.family, args.q, args.nmax)
+        n_max, redundancy = family_parameters(args.family, args.q, args.nmax)
     elif args.nmax is None or args.l is None:
         print("zwr requires --family or both --nmax and --l", file=sys.stderr)
         return USAGE_ERROR
@@ -250,8 +250,8 @@ def _cmd_zwr(args) -> int:
 def _cmd_coded_demo(args) -> int:
     rng = np.random.default_rng(args.seed)
     if args.matrix:
-        matrix = np.atleast_2d(load_matrix(args.matrix))
-        x = (load_matrix(args.vector).ravel() if args.vector
+        matrix = np.atleast_2d(np.loadtxt(args.matrix))
+        x = (np.loadtxt(args.vector).ravel() if args.vector
              else rng.normal(size=matrix.shape[1]))
     else:
         matrix = rng.normal(size=(args.rows, args.cols))

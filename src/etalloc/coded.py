@@ -25,7 +25,6 @@ __all__ = [
     "execute_round",
     "elastic_linear_regression",
     "plain_regression_trajectory",
-    "load_matrix",
 ]
 
 
@@ -166,7 +165,6 @@ def _event_schedule(n_events: int, steps: int) -> dict[int, list[int]]:
 def elastic_linear_regression(data: np.ndarray, targets: np.ndarray,
                               trace: ElasticTrace, steps: int, learning_rate: float,
                               tolerance: int = 0,
-                              n_max: int | None = None,
                               straggler_rng: random.Random | None = None) -> np.ndarray:
     """Gradient-descent least squares from zero weights, the per-step product coded.
 
@@ -176,19 +174,18 @@ def elastic_linear_regression(data: np.ndarray, targets: np.ndarray,
     fire between iterations, spread evenly over the run; with
     ``straggler_rng`` set, ``tolerance`` random machines are erased each
     round.  Decoding is exact, so the trajectory matches the plain fixed-pool
-    run whatever the trace does.
+    run whatever the trace does.  The code has a row per machine label up to
+    the trace's ``n_max``, or up to its largest pool when that is unset.
     """
     data = np.asarray(data, dtype=float)
     targets = np.asarray(targets, dtype=float)
     gram = data.T @ data
     moment = data.T @ targets
-    if n_max is None:
-        count = trace.initial_machines
-        peak = count
-        for event in trace.events:
-            count += 1 if event.kind == "join" else -1
-            peak = max(peak, count)
-        n_max = trace.n_max if trace.n_max is not None else peak
+    count = peak = trace.initial_machines
+    for event in trace.events:
+        count += 1 if event.kind == "join" else -1
+        peak = max(peak, count)
+    n_max = trace.n_max if trace.n_max is not None else peak
     runner = TraceRunner(trace if trace.label_policy == "reuse"
                          else replace(trace, label_policy="reuse"))
     w = np.zeros(data.shape[1])
@@ -209,7 +206,3 @@ def elastic_linear_regression(data: np.ndarray, targets: np.ndarray,
         w = w - learning_rate * (result.product - moment)
         trajectory.append(w.copy())
     return np.array(trajectory)
-
-
-def load_matrix(path) -> np.ndarray:
-    return np.loadtxt(path)

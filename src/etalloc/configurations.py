@@ -12,11 +12,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import operator
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .core import TaskAllocation, ValidationReport, _field
+from .core import TaskAllocation, ValidationReport
 
 __all__ = [
     "Configuration",
@@ -29,13 +28,11 @@ __all__ = [
     "truncated_plane_q2_minus_1",
     "tas_from_configuration",
     "zero_waste_range",
-    "family_zero_waste_range",
+    "family_parameters",
     "ZWR_FAMILIES",
     "zwr_task_count",
     "configuration_to_document",
-    "configuration_from_document",
     "configuration_to_json",
-    "configuration_from_json",
 ]
 
 
@@ -320,21 +317,15 @@ def zero_waste_range(n_max: int, redundancy: int) -> ZwrResult:
 ZWR_FAMILIES = ("l3", "l4", "projective", "q2", "q2m1")
 
 
-def family_zero_waste_range(family: str, q: int | None = None,
-                            n_max: int | None = None) -> ZwrResult:
-    """Zero-waste range for a named configuration family.
+def family_parameters(family: str, q: int | None = None,
+                      n_max: int | None = None) -> tuple[int, int]:
+    """(n_max, L) of a named configuration family; its zero-waste range is
+    ``zero_waste_range(*family_parameters(...))``.
 
-    ``l3``/``l4`` take ``n_max`` (>= 7 and >= 13 respectively, where such
-    configurations exist); ``projective``, ``q2`` and ``q2m1`` take a prime
-    power ``q``.  The family fixes (n_max, L), and :func:`zero_waste_range`
-    gives the range.
+    ``l3``/``l4`` take ``n_max`` (>= 7 and >= 13); ``projective``, ``q2`` and
+    ``q2m1`` take a prime power ``q``.  Raises ValueError for a family that
+    does not exist at these parameters.
     """
-    return zero_waste_range(*_family_parameters(family, q, n_max))
-
-
-def _family_parameters(family: str, q: int | None, n_max: int | None) -> tuple[int, int]:
-    """(n_max, L) of a named configuration family; raises ValueError for a
-    family that does not exist at these parameters."""
     family = family.lower()
     if family in ("l3", "l4"):
         l, least = (3, 7) if family == "l3" else (4, 13)
@@ -371,25 +362,5 @@ def configuration_to_document(config: Configuration) -> dict:
     }
 
 
-def configuration_from_document(doc: Mapping) -> Configuration:
-    """Inverse of :func:`configuration_to_document`; each line must be a list of
-    integers, not booleans."""
-    v, k = _field(doc, "v", "configuration", int), _field(doc, "k", "configuration", int)
-    lines = []
-    for i, line in enumerate(_field(doc, "lines", "configuration", list)):
-        try:
-            if any(isinstance(p, bool) for p in line):
-                raise TypeError("a boolean is not a point")
-            lines.append(frozenset(map(operator.index, line)))
-        except TypeError as exc:
-            raise ValueError(
-                f"configuration: line {i + 1} must list integer points: {exc}") from None
-    return Configuration(n_points=v, line_size=k, lines=tuple(lines))
-
-
 def configuration_to_json(config: Configuration) -> str:
     return json.dumps(configuration_to_document(config), indent=2) + "\n"
-
-
-def configuration_from_json(text: str) -> Configuration:
-    return configuration_from_document(json.loads(text))

@@ -220,7 +220,6 @@ class TransitionOutcome:
     size change.
     """
 
-    old_alloc: TaskAllocation
     new_alloc: TaskAllocation
     per_machine_waste: dict[int, int]
     necessary_load_change: int
@@ -365,7 +364,6 @@ def transition_waste(old: TaskAllocation, new: TaskAllocation,
         assert w >= 0, f"negative waste {w} at machine {m}"
         per_machine[m] = w
     return TransitionOutcome(
-        old_alloc=old,
         new_alloc=new,
         per_machine_waste=per_machine,
         necessary_load_change=delta,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from . import cyclic as cyc
 from .core import (
@@ -37,7 +37,6 @@ __all__ = [
     "TraceRunner",
     "run_trace",
     "full_tree_node_count",
-    "compare_strategies",
     "trace_to_document",
     "trace_from_document",
     "report_to_document",
@@ -118,7 +117,6 @@ class SimulationReport:
     records: tuple[EventRecord, ...]
     machine_stats: dict[int, tuple[int, int]]  # label -> (abandoned, acquired)
     final: TaskAllocation
-    aborted: str | None = None
 
     @property
     def cumulative_waste(self) -> int:
@@ -277,37 +275,11 @@ def run_trace(trace: ElasticTrace, strategy: str | None = None) -> SimulationRep
     infeasible leave, naming the event and a Hall witness.
     """
     if strategy is not None:
-        trace = replace(trace, strategy=_ALIASES.get(strategy, strategy))
+        trace = replace(trace, strategy=strategy)
     runner = TraceRunner(trace)
     for event in trace.events:
         runner.apply(event)
     return runner.report()
-
-
-def compare_strategies(trace: ElasticTrace,
-                       strategies: Sequence[str] = ("cyclic", "shifted_cyclic", "zero_waste"),
-                       ) -> dict[str, SimulationReport]:
-    """Run the same trace under several strategies and collect their reports.
-
-    Never raises for per-strategy trouble: zero-waste infeasibility is absorbed
-    by the best-effort fallback and counted, and a strategy whose preconditions
-    fail mid-trace is reported as aborted with the failing event noted.
-    """
-    results: dict[str, SimulationReport] = {}
-    for name in strategies:
-        resolved = _ALIASES.get(name, name)
-        run_as = "zero_waste_with_fallback" if resolved == "zero_waste" else resolved
-        runner = TraceRunner(replace(trace, strategy=run_as))
-        aborted = None
-        for event in trace.events:
-            try:
-                runner.apply(event)
-            except EtallocError as exc:
-                aborted = str(exc)
-                break
-        report = runner.report()
-        results[name] = replace(report, strategy=resolved, aborted=aborted)
-    return results
 
 
 def full_tree_node_count(n_max: int, n_min: int) -> int:
@@ -371,7 +343,8 @@ def report_to_document(report: SimulationReport) -> dict:
         "strategy": report.strategy,
         "cumulative_waste": report.cumulative_waste,
         "infeasible_count": report.infeasible_count,
-        "aborted": report.aborted,
+        # A run that cannot finish raises instead; the key keeps documents' shape.
+        "aborted": None,
         "events": [
             {"index": r.index, "kind": r.kind, "machine": r.machine, "waste": r.waste,
              "delta": r.load_change, "feasible": r.feasible, "degraded": r.degraded,

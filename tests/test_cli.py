@@ -8,7 +8,7 @@ import pytest
 from etalloc import (
     EtallocError,
     TaskAllocation,
-    configuration_from_json,
+    configuration_to_document,
     tas_from_configuration,
     tas_from_json,
     fano_plane,
@@ -16,7 +16,6 @@ from etalloc import (
     trace_to_document,
     truncated_plane_q2,
     truncated_plane_q2_minus_1,
-    validate_configuration,
     validate_tas,
     ElasticEvent,
     ElasticTrace,
@@ -59,8 +58,7 @@ class TestGenerate:
     def test_fano_configuration_to_stdout(self, capsys):
         code, out, _ = run(["generate", "fano"], capsys)
         assert code == 0
-        config = configuration_from_json(out)
-        assert config == fano_plane()
+        assert json.loads(out) == configuration_to_document(fano_plane())
 
     def test_fano_embedding(self, tmp_path, capsys):
         out = tmp_path / "fano14.json"
@@ -77,9 +75,7 @@ class TestGenerate:
         out = tmp_path / f"{kind}.json"
         code, _, _ = run(["generate", kind, "--q", "3", "--out", str(out)], capsys)
         assert code == 0
-        config = configuration_from_json(out.read_text())
-        assert config == builder(3)
-        assert validate_configuration(config).ok
+        assert json.loads(out.read_text()) == configuration_to_document(builder(3))
 
     def test_non_prime_power_is_usage_error(self, capsys):
         code, _, err = run(["generate", "projective", "--q", "6"], capsys)
@@ -452,6 +448,16 @@ class TestVerify:
     def test_hall_suite(self, capsys):
         code, out, _ = run(["verify", "hall", "--count", "30", "--seed", "6"], capsys)
         assert code == 0 and "infeasible" in out
+
+    @pytest.mark.parametrize("argv,message", [
+        (["formulas", "--lmax", "1"], "l_max=1"),
+        (["formulas", "--nmax", "3"], "n_max=3"),
+        (["coded", "--trials", "0"], "got 0"),
+    ])
+    def test_runs_that_check_nothing_are_usage_errors(self, argv, message, capsys):
+        code, out, err = run(["verify", *argv], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and message in err
 
 
 class TestShiftProfile:

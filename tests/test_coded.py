@@ -18,7 +18,6 @@ from etalloc import (
     plain_regression_trajectory,
 )
 from etalloc.checks import random_tas
-from etalloc.coded import load_matrix
 
 from oracles import execute_round_per_task
 from test_zero_waste import pools
@@ -221,11 +220,3 @@ class TestElasticRegression:
         coded = elastic_linear_regression(self.data, self.targets, trace,
                                           steps=50, learning_rate=0.01, tolerance=1)
         assert np.max(np.abs(coded - self.plain[:51])) / np.max(np.abs(self.plain)) < 1e-6
-
-
-class TestMatrixIo:
-    def test_round_trip(self, tmp_path):
-        matrix = RNG.normal(size=(7, 3))
-        path = tmp_path / "m.txt"
-        np.savetxt(path, matrix)
-        assert np.allclose(load_matrix(path), matrix)

@@ -1,15 +1,15 @@
 """Finite-geometry configurations, their allocations, and zero-waste ranges."""
 
 import itertools
+import json
 
 import pytest
 
 from etalloc import (
+    Configuration,
     TaskAllocation,
-    configuration_from_document,
-    configuration_from_json,
     configuration_to_json,
-    family_zero_waste_range,
+    family_parameters,
     fano_plane,
     hall_feasible_all_leavers,
     is_prime_power,
@@ -28,6 +28,10 @@ from etalloc.core import require_valid
 from oracles import FieldPerCall, family_zero_waste_range_specialized, projective_plane_per_call
 
 PRIME_POWERS = [2, 3, 4, 5, 7, 8, 9]
+
+
+def family_range(family, **kwargs):
+    return zero_waste_range(*family_parameters(family, **kwargs))
 FANO_LINES = [{1, 2, 3}, {1, 4, 5}, {1, 6, 7}, {2, 4, 6}, {2, 5, 7},
               {3, 5, 6}, {3, 4, 7}]
 
@@ -187,7 +191,7 @@ class TestZeroWasteRange:
 
     def test_q_squared_family_agrees_with_general(self):
         q = 3
-        family = family_zero_waste_range("q2", q=q)
+        family = family_range("q2", q=q)
         general = zero_waste_range(q * q, q)
         assert (family.n_min, family.removable) == (general.n_min, general.removable)
 
@@ -223,28 +227,28 @@ class TestFamilyTable:
 
     @pytest.mark.parametrize("family,kwargs,l", CASES)
     def test_agrees_with_general_formula(self, family, kwargs, l):
-        result = family_zero_waste_range(family, **kwargs)
-        general = zero_waste_range(result.n_max, l)
-        assert (result.n_min, result.removable) == (general.n_min, general.removable)
+        n_max, redundancy = family_parameters(family, **kwargs)
+        assert redundancy == l
+        assert family_range(family, **kwargs) == zero_waste_range(n_max, l)
 
     def test_l3_at_seven(self):
-        result = family_zero_waste_range("l3", n_max=7)
+        result = family_range("l3", n_max=7)
         assert (result.n_min, result.n_max) == (5, 7)
 
     def test_l4_at_thirteen(self):
-        result = family_zero_waste_range("l4", n_max=13)
+        result = family_range("l4", n_max=13)
         assert (result.n_min, result.n_max) == (9, 13)
 
     def test_projective_two_equals_fano_numbers(self):
-        assert family_zero_waste_range("projective", q=2) == zero_waste_range(7, 3)
+        assert family_range("projective", q=2) == zero_waste_range(7, 3)
 
     def test_guards(self):
         with pytest.raises(ValueError):
-            family_zero_waste_range("l3", n_max=5)
+            family_range("l3", n_max=5)
         with pytest.raises(ValueError):
-            family_zero_waste_range("projective", q=6)
+            family_range("projective", q=6)
         with pytest.raises(ValueError):
-            family_zero_waste_range("heptagon", q=2)
+            family_range("heptagon", q=2)
 
 
 def _range_or_error(solver, family, kwargs):
@@ -268,7 +272,7 @@ class TestFamilyRangeMatchesSpecializedPolynomials:
         assert len(self.CASES) == 915
         outcomes = []
         for family, kwargs in self.CASES + self.GUARDS:
-            got = _range_or_error(family_zero_waste_range, family, kwargs)
+            got = _range_or_error(family_range, family, kwargs)
             assert got == _range_or_error(family_zero_waste_range_specialized, family, kwargs), \
                 (family, kwargs)
             outcomes.append(got)
@@ -280,7 +284,7 @@ class TestFamilyRangeMatchesSpecializedPolynomials:
                                                ("q2m1", {"q": 3})])
     def test_paper_polynomials_give_the_discriminant(self, family, kwargs):
         oracle = family_zero_waste_range_specialized(family, **kwargs)
-        assert family_zero_waste_range(family, **kwargs).discriminant == oracle.discriminant
+        assert family_range(family, **kwargs).discriminant == oracle.discriminant
 
 
 class TestTaskCountHelper:
@@ -328,29 +332,6 @@ class TestRangeFeasibilityOnRealAllocations:
 class TestSerialization:
     def test_round_trip(self):
         config = projective_plane(3)
-        assert configuration_from_json(configuration_to_json(config)) == config
-
-    @pytest.mark.parametrize("doc,field", [
-        ({"v": 7, "k": 3}, "'lines'"),
-        ({"k": 3, "lines": []}, "'v'"),
-        ({"v": 7, "lines": []}, "'k'"),
-        ({"v": "seven", "k": 3, "lines": []}, "'v'"),
-        ({"v": 7, "k": [3], "lines": []}, "'k'"),
-        ({"v": 7, "k": 3, "lines": {"1": [1, 2, 3]}}, "'lines'"),
-        ({"v": 7, "k": 3, "lines": [[1, 2, 3], 4]}, "line 2"),
-        ({"v": 7, "k": 3, "lines": [[1.7, 2, 3]]}, "line 1"),
-        ({"v": 7, "k": 3, "lines": [["1", 2, 3]]}, "line 1"),
-        ([7, 3], "JSON object"),
-        ({"v": 7.8, "k": 3, "lines": []}, "'v' must be int, got float"),
-        ({"v": 7, "k": "3", "lines": []}, "'k' must be int, got str"),
-        ({"v": True, "k": 3, "lines": []}, "'v' must be int, got bool"),
-        ({"v": 3, "k": 2, "lines": [[True, 2], [2, 3], [1, 3]]},
-         "line 1 must list integer points: a boolean"),
-    ])
-    def test_malformed_documents_name_the_field(self, doc, field):
-        with pytest.raises(ValueError, match=field):
-            configuration_from_document(doc)
-
-    def test_integral_points_are_accepted(self):
-        config = configuration_from_document({"v": 3, "k": 2, "lines": [[1, 2], [2, 3], [1, 3]]})
-        assert config.lines == (frozenset({1, 2}), frozenset({2, 3}), frozenset({1, 3}))
+        doc = json.loads(configuration_to_json(config))
+        assert all(line == sorted(line) for line in doc["lines"])
+        assert Configuration(doc["v"], doc["k"], tuple(map(frozenset, doc["lines"]))) == config

@@ -1,5 +1,6 @@
 """Cyclic scheme construction and the closed-form waste results."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from etalloc import (
     cyclic_leave_waste_closed_form,
     cyclic_tas,
     cyclic_tas_after_leave,
+    hall_feasible_all_leavers,
     measured_join_waste,
     measured_leave_waste,
     optimal_shift_join,
@@ -21,6 +23,7 @@ from etalloc import (
     shifted_join_waste_piecewise,
     transition_waste,
     validate_tas,
+    zero_waste_leave,
 )
 
 JOIN_GRID = [(l, n) for l in range(2, 6) for n in range(l + 1, 9)]
@@ -300,3 +303,45 @@ class TestTransitionsAgreeWithAfterLeaveHelper:
         # machine 3 drops to position 2
         assert new.task_sets[3] == cyclic_tas(4, 3, 20).task_sets[2]
         assert transition_waste(old, new, leaver=2).total_waste >= 0
+
+
+# L = 1..7, N = L+1..15, F in {N(N-1), 2N(N-1)}: 154 cyclic pools.
+ONE_LEAVE_GRID = [(n, l, c * n * (n - 1)) for l in range(1, 8) for n in range(l + 1, 16)
+                  for c in (1, 2)]
+
+
+class TestCyclicOneLeaveTheorem:
+    """Every leave of a cyclic pool has a zero-waste move (README, "Cyclic one-leave").
+
+    k <= L consecutive machines share (L-k+1)*F/N tasks and other k-sets no
+    more, so the all-leavers bound (N-k)*Delta exceeds every k-set's common
+    tasks by at least (k-1)(N-L-1)*F/(N(N-1)) >= 0.  The closed forms here are
+    checked against set intersections, the certificate and the leave itself.
+    """
+
+    @staticmethod
+    def common(alloc, labels):
+        return len(frozenset.intersection(*(alloc.task_sets[m] for m in labels)))
+
+    def test_consecutive_machines_share_the_closed_form_and_leave_the_slack(self):
+        assert len(ONE_LEAVE_GRID) == 154
+        for n, l, f in ONE_LEAVE_GRID:
+            alloc = cyclic_tas(n, l, f)
+            delta = l * f // (n * (n - 1))
+            for k in range(1, l + 1):
+                shared = (l - k + 1) * f // n
+                assert (n - k) * delta - shared == (k - 1) * (n - l - 1) * f // (n * (n - 1))
+                for start in range(n):
+                    labels = [(start + i) % n + 1 for i in range(k)]
+                    assert self.common(alloc, labels) == shared, (n, l, f, labels)
+                if n <= 9:
+                    assert max(self.common(alloc, labels) for labels
+                               in itertools.combinations(alloc.machine_ids, k)) == shared
+            assert hall_feasible_all_leavers(alloc).feasible, (n, l, f)
+
+    def test_every_leave_is_zero_waste(self):
+        for n, l, f in ONE_LEAVE_GRID:
+            if f == n * (n - 1):
+                alloc = cyclic_tas(n, l, f)
+                for leaver in alloc.machine_ids:
+                    assert zero_waste_leave(alloc, leaver).total_waste == 0, (n, l, f, leaver)

@@ -1,4 +1,4 @@
-"""Trace execution, strategy comparison, and walks of the zero-waste transition tree."""
+"""Trace execution, the same trace under each strategy, and walks of the zero-waste transition tree."""
 
 import json
 import math
@@ -12,7 +12,6 @@ from etalloc import (
     EtallocError,
     InfeasibleTransitionError,
     TraceRunner,
-    compare_strategies,
     cyclic_tas,
     fano_plane,
     full_tree_node_count,
@@ -370,13 +369,11 @@ class TestBoundsAndLabels:
         assert report.final == trace.seed_allocation
 
     def test_cyclic_joins_the_named_machine_and_zero_waste_aborts(self):
-        results = compare_strategies(self.fano_walk("cyclic", 9),
-                                     strategies=("cyclic", "zero_waste"))
-        assert results["cyclic"].aborted is None
-        assert [r.machine for r in results["cyclic"].records] == [3, 9]
-        assert 9 in results["cyclic"].final.machine_ids
-        assert "departed machine 3" in results["zero_waste"].aborted
-        assert [r.machine for r in results["zero_waste"].records] == [3]
+        report = run_trace(self.fano_walk("cyclic", 9))
+        assert [r.machine for r in report.records] == [3, 9]
+        assert 9 in report.final.machine_ids
+        with pytest.raises(EtallocError, match="departed machine 3"):
+            run_trace(self.fano_walk("zero_waste", 9))
 
     def test_reused_labels_fill_gaps(self):
         trace = ElasticTrace(initial_machines=4, redundancy=2, n_tasks=60,
@@ -388,42 +385,39 @@ class TestBoundsAndLabels:
 
 
 class TestCompareStrategies:
+    """The same trace run under each strategy."""
+
+    @staticmethod
+    def wastes(trace, strategies=("cyclic", "shifted_cyclic", "zero_waste")):
+        return {name: run_trace(trace, strategy=name).cumulative_waste for name in strategies}
+
     def test_single_leave_comparison(self):
-        results = compare_strategies(FIG1_TRACE)
-        wastes = {k: r.cumulative_waste for k, r in results.items()}
-        assert wastes == {"cyclic": 12, "shifted_cyclic": 0, "zero_waste": 0}
-        assert all(r.infeasible_count == 0 for r in results.values())
+        assert self.wastes(FIG1_TRACE) == {"cyclic": 12, "shifted_cyclic": 0, "zero_waste": 0}
 
     def test_empty_trace(self):
         trace = ElasticTrace(initial_machines=5, redundancy=3, n_tasks=20)
-        results = compare_strategies(trace)
-        assert all(r.cumulative_waste == 0 for r in results.values())
+        assert set(self.wastes(trace).values()) == {0}
 
     def test_pure_join_trace(self):
         f = math.lcm(5 * 6, 6 * 7)
         trace = ElasticTrace(initial_machines=5, redundancy=3, n_tasks=f,
                              events=(ElasticEvent.join(), ElasticEvent.join()))
-        results = compare_strategies(trace, strategies=("cyclic", "zero_waste"))
-        assert results["zero_waste"].cumulative_waste == 0
         expected = sum((n - 1) * f // (n + 1) for n in (5, 6))
-        assert results["cyclic"].cumulative_waste == expected
+        assert self.wastes(trace, ("cyclic", "zero_waste")) == \
+            {"cyclic": expected, "zero_waste": 0}
 
     def test_join_with_active_label_aborts_every_strategy(self):
         trace = ElasticTrace(5, 2, 20, events=(ElasticEvent.join(3),), n_max=6)
-        with pytest.raises(EtallocError, match="machine 3 is already active"):
-            run_trace(trace)
-        results = compare_strategies(trace)
-        for report in results.values():
-            assert "machine 3 is already active" in report.aborted
-            assert not report.records
+        for strategy in STRATEGIES:
+            with pytest.raises(EtallocError, match="event 0: machine 3 is already active"):
+                run_trace(trace, strategy=strategy)
 
     def test_infeasible_events_are_recorded_not_thrown(self):
         trace = ElasticTrace(initial_machines=4, redundancy=2, n_tasks=12,
                              seed_allocation=doubled_block_tas(4, 12),
                              events=(ElasticEvent.leave(1),))
-        results = compare_strategies(trace, strategies=("zero_waste",))
-        assert results["zero_waste"].infeasible_count == 1
-        assert results["zero_waste"].aborted is None
+        report = run_trace(trace, strategy="zero_waste_with_fallback")
+        assert report.infeasible_count == 1
 
 
 class TestTransitionTree:
@@ -502,6 +496,9 @@ class TestTraceSerialization:
     def test_report_exports(self, tmp_path, capsys):
         report = run_trace(FIG1_TRACE, strategy="cyclic")
         doc = report_to_document(report)
+        assert list(doc) == ["strategy", "cumulative_waste", "infeasible_count", "aborted",
+                             "events", "machines", "final"]
+        assert doc["aborted"] is None
         assert doc["cumulative_waste"] == 12
         assert doc["events"][0]["kind"] == "leave"
         rows = report_rows(report)
