@@ -41,7 +41,6 @@ from .cyclic import (
     shifted_join_waste_piecewise,
 )
 from .zero_waste import (
-    DeltaMatching,
     HallResult,
     TransitionGraph,
     best_effort_leave,

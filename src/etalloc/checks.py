@@ -64,6 +64,8 @@ def verify_formulas(l_max: int = 5, n_max: int = 8,
     if l_max < 2 or n_max < 4:
         raise ValueError(f"formula grid needs l_max >= 2 and n_max >= 4 to check a leave, "
                          f"got l_max={l_max}, n_max={n_max}")
+    if multiplier < 1:
+        raise ValueError(f"formula grid needs multiplier >= 1, got multiplier={multiplier}")
     results = []
     join_bad = []
     for l, n in _grid(l_max, n_max, leave=False):
@@ -252,6 +254,8 @@ def verify_hall(n_samples: int = 200, seed: int = 20240601) -> list[CheckResult]
     doubled-block ones (and perturbations of them) so that both the feasible
     and the infeasible branch of the equivalence are exercised.
     """
+    if n_samples < 0:
+        raise ValueError(f"hall corpus needs n_samples >= 0, got n_samples={n_samples}")
     rng = random.Random(seed)
     corpus = []
     for i in range(n_samples):
@@ -337,8 +341,14 @@ def probe_zero_waste_depth(alloc, floor: int) -> dict[int, tuple[int, int]]:
     return {size: tuple(counts) for size, counts in sorted(levels.items())}
 
 
+def _depth_report(probe: dict[int, tuple[int, int]]) -> str:
+    return "; ".join(f"to {size} machines: {ok} feasible / {bad} infeasible"
+                     for size, (ok, bad) in probe.items())
+
+
 def verify_zwr(family: str = "fano") -> list[CheckResult]:
-    """Range formulas, the exhaustive Fano-range drill, and the family intersection bound."""
+    """Range formulas, the exhaustive Fano-range drill beside the cyclic (7,3)
+    root's depth, and the family intersection bound."""
     results = []
     if family in ("fano", "all"):
         fano_range = zero_waste_range(7, 3)
@@ -380,9 +390,10 @@ def verify_zwr(family: str = "fano") -> list[CheckResult]:
             not join_bad, f"violations {join_bad}" if join_bad else ""))
         # reported, not asserted: how far below the proven floor chains survive
         results.append(CheckResult(
-            "below-range survival probe (report only)", True,
-            "; ".join(f"to {size} machines: {ok} feasible / {bad} infeasible"
-                      for size, (ok, bad) in probe.items())))
+            "below-range survival probe (report only)", True, _depth_report(probe)))
+        results.append(CheckResult(
+            "cyclic (7,3) root below-range survival probe (report only)", True,
+            _depth_report(probe_zero_waste_depth(cyc.cyclic_tas(7, 3, f), floor=4))))
     if family in ("table", "all"):
         intersect_bad = []
         for q in (2, 3, 4, 5):

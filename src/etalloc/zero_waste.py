@@ -29,7 +29,6 @@ from .core import (
 
 __all__ = [
     "TransitionGraph",
-    "DeltaMatching",
     "HallResult",
     "zero_waste_join",
     "build_transition_graph",
@@ -48,13 +47,13 @@ class TransitionGraph:
     """Bipartite graph between surviving machines and the leaver's tasks.
 
     ``classes`` maps the survivors that hold each class of the leaver's tasks
-    to its tasks; a survivor can absorb the classes it is not in.  ``delta`` is
-    the required per-machine intake L*F/(N(N-1)).
+    to its tasks; the classes together are the leaver's tasks, and a survivor
+    can absorb the classes it is not in.  ``delta`` is the required
+    per-machine intake L*F/(N(N-1)).
     """
 
     leaver: int
     left: tuple[int, ...]
-    right: tuple[int, ...]
     classes: dict[tuple[int, ...], tuple[int, ...]]
     delta: int
 
@@ -63,28 +62,6 @@ class TransitionGraph:
         """The leaver tasks each survivor does not own, derived from ``classes`` on first read."""
         return {u: frozenset().union(*(tasks for holders, tasks in self.classes.items()
                                        if u not in holders)) for u in self.left}
-
-
-@dataclass(frozen=True)
-class DeltaMatching:
-    """Assignment of every right-side task to one machine, each machine used delta times."""
-
-    assignment: dict[int, int]
-    delta: int
-
-    def check(self, graph: TransitionGraph) -> None:
-        """Raise if this matching does not satisfy the perfect Delta-matching invariants."""
-        if set(self.assignment) != set(graph.right):
-            raise ValueError("matching does not cover the task side exactly once")
-        intake: dict[int, int] = {u: 0 for u in graph.left}
-        held_by = {t: holders for holders, tasks in graph.classes.items() for t in tasks}
-        for task, machine in self.assignment.items():
-            if machine in held_by[task] or machine not in intake:
-                raise ValueError(f"pair (machine {machine}, task {task}) is not an edge")
-            intake[machine] += 1
-        bad = {u: c for u, c in intake.items() if c != self.delta}
-        if bad:
-            raise ValueError(f"machines with intake != {self.delta}: {bad}")
 
 
 @dataclass(frozen=True)
@@ -136,7 +113,7 @@ def build_transition_graph(alloc: TaskAllocation, leaver: int) -> TransitionGrap
                for holders, tasks in holder_classes(alloc).items() if leaver in holders}
     return TransitionGraph(
         leaver=leaver, left=tuple(m for m in alloc.machine_ids if m != leaver),
-        right=tuple(sorted(alloc.task_sets[leaver])), classes=classes, delta=delta)
+        classes=classes, delta=delta)
 
 
 def hall_feasible_for_leaver(alloc: TaskAllocation, leaver: int) -> HallResult:
@@ -324,16 +301,18 @@ class _ResidualNetwork:
         return total_cost
 
 
-def _delta_flow(graph: TransitionGraph) -> DeltaMatching | tuple[int, ...]:
-    """The perfect Delta-matching of ``graph``, or a Hall witness that none exists.
+def _delta_flow(graph: TransitionGraph) -> dict[int, tuple[int, ...]] | tuple[int, ...]:
+    """Each survivor's intake under a perfect Delta-matching of ``graph``, or a
+    Hall witness that none exists.
 
     Tasks held by the same survivors can go to the same machines, so the flow
     runs on ``graph.classes``: source -> machine (capacity delta) -> class
-    (class size) -> sink (class size).  A saturating flow expands to tasks in a
-    fixed order: each class hands its tasks out ascending, to its machines in
-    ``graph.left`` order.  Otherwise the witness is the survivors J the source
-    still reaches, ascending: the minimum cut around J is below delta*(N-1) and
-    at least delta*(N-1-|J|) + |N(J)|, so |N(J)| < delta*|J|.
+    (class size) -> sink (class size).  A saturating flow hands each class's
+    tasks out ascending, in consecutive runs, to its machines in ``graph.left``
+    order; a survivor's intake is its runs in class order.  Otherwise the
+    witness is the survivors J the source still reaches, ascending: the minimum
+    cut around J is below delta*(N-1) and at least delta*(N-1-|J|) + |N(J)|, so
+    |N(J)| < delta*|J|.
     """
     classes = list(graph.classes.items())
     first_class = 1 + len(graph.left)
@@ -348,28 +327,27 @@ def _delta_flow(graph: TransitionGraph) -> DeltaMatching | tuple[int, ...]:
                 edge_index.append((net.add_edge(1 + i, first_class + j, len(tasks)), u, j))
     for j, (_, tasks) in enumerate(classes):
         net.add_edge(first_class + j, sink, len(tasks))
-    if net.max_flow(0, sink) != len(graph.right):
+    if net.max_flow(0, sink) != sum(len(tasks) for _, tasks in classes):
         return tuple(sorted(u for i, u in enumerate(graph.left) if net.level[1 + i] >= 0))
-    pending = [iter(tasks) for _, tasks in classes]
-    assignment = {}
+    intake: dict[int, tuple[int, ...]] = {u: () for u in graph.left}
+    taken = [0] * len(classes)
     for idx, u, j in edge_index:
-        for _ in range(net.cap[idx ^ 1]):
-            assignment[next(pending[j])] = u
-    matching = DeltaMatching(assignment=assignment, delta=graph.delta)
-    matching.check(graph)
-    return matching
+        flow = net.cap[idx ^ 1]
+        intake[u] += classes[j][1][taken[j]:taken[j] + flow]
+        taken[j] += flow
+    return intake
 
 
-def find_delta_matching(graph: TransitionGraph) -> DeltaMatching | None:
-    """Perfect Delta-matching of a transition graph via max flow, or None.
+def find_delta_matching(graph: TransitionGraph) -> dict[int, tuple[int, ...]] | None:
+    """Each survivor's intake under a perfect Delta-matching, via max flow, or None.
 
     It exists iff the class flow of :func:`_delta_flow` saturates every class,
     which by Hall's condition is exactly when the counting oracle passes.
     """
-    if graph.delta * len(graph.left) != len(graph.right):
+    if graph.delta * len(graph.left) != sum(len(tasks) for tasks in graph.classes.values()):
         return None
     found = _delta_flow(graph)
-    return found if isinstance(found, DeltaMatching) else None
+    return None if isinstance(found, tuple) else found
 
 
 def zero_waste_leave(alloc: TaskAllocation, leaver: int) -> TransitionOutcome:
@@ -382,16 +360,13 @@ def zero_waste_leave(alloc: TaskAllocation, leaver: int) -> TransitionOutcome:
     """
     graph = build_transition_graph(alloc, leaver)
     found = _delta_flow(graph)
-    if not isinstance(found, DeltaMatching):
+    if isinstance(found, tuple):
         raise InfeasibleTransitionError(
             f"no zero-waste transition when machine {leaver} leaves; "
             f"violating machine subset: {list(found)}", witness=found)
-    extra: dict[int, set[int]] = {u: set() for u in graph.left}
-    for task, machine in found.assignment.items():
-        extra[machine].add(task)
     new_alloc = TaskAllocation._derived(
         alloc.redundancy, alloc.n_tasks, graph.left,
-        {u: alloc.task_sets[u] | extra[u] for u in graph.left})
+        {u: alloc.task_sets[u].union(found[u]) for u in graph.left})
     outcome = transition_waste(alloc, new_alloc, leaver=leaver)
     assert outcome.total_waste == 0
     return outcome

@@ -8,7 +8,9 @@ digits and reduces a polynomial on every call, each task's holders found
 by set membership rather than read from the allocation's class index, and
 each configuration family's zero-waste range from its own discriminant
 polynomial rather than the general formula.  They
-are slow on purpose and live only in the tests.
+are slow on purpose and live only in the tests.  ``assert_perfect_intake``
+checks a leave's intake against the definition of a perfect Delta-matching,
+task by task.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import numpy as np
 from etalloc import (
     CodedJob,
     Configuration,
-    DeltaMatching,
     DivisibilityError,
     HallResult,
     RoundResult,
@@ -84,13 +85,15 @@ def execute_round_per_task(job: CodedJob, alloc: TaskAllocation, stragglers=(),
     return RoundResult(recovered=True, product=np.concatenate(blocks)[:job.matrix.shape[0]])
 
 
-def find_delta_matching_per_task(graph: TransitionGraph) -> DeltaMatching | None:
-    """Dinic on source -> machine (delta) -> task (1) -> sink (1)."""
-    if graph.delta * len(graph.left) != len(graph.right):
+def find_delta_matching_per_task(graph: TransitionGraph) -> dict[int, tuple[int, ...]] | None:
+    """Dinic on source -> machine (delta) -> task (1) -> sink (1); each
+    survivor's intake ascending."""
+    leaving = sorted(t for tasks in graph.classes.values() for t in tasks)
+    if graph.delta * len(graph.left) != len(leaving):
         return None
     machine_node = {u: 1 + i for i, u in enumerate(graph.left)}
-    task_node = {v: 1 + len(graph.left) + j for j, v in enumerate(graph.right)}
-    sink = 1 + len(graph.left) + len(graph.right)
+    task_node = {v: 1 + len(graph.left) + j for j, v in enumerate(leaving)}
+    sink = 1 + len(graph.left) + len(leaving)
     net = _ResidualNetwork(sink + 1)
     for u in graph.left:
         net.add_edge(0, machine_node[u], graph.delta)
@@ -98,12 +101,30 @@ def find_delta_matching_per_task(graph: TransitionGraph) -> DeltaMatching | None
     for u in graph.left:
         for v in sorted(graph.neighbors[u]):
             edge_index[net.add_edge(machine_node[u], task_node[v], 1)] = (u, v)
-    for v in graph.right:
+    for v in leaving:
         net.add_edge(task_node[v], sink, 1)
-    if net.max_flow(0, sink) != len(graph.right):
+    if net.max_flow(0, sink) != len(leaving):
         return None
-    assignment = {v: u for idx, (u, v) in edge_index.items() if net.cap[idx] == 0}
-    return DeltaMatching(assignment=assignment, delta=graph.delta)
+    intake: dict[int, list[int]] = {u: [] for u in graph.left}
+    for idx, (u, v) in edge_index.items():
+        if net.cap[idx] == 0:
+            intake[u].append(v)
+    return {u: tuple(tasks) for u, tasks in intake.items()}
+
+
+def assert_perfect_intake(graph: TransitionGraph, intake: dict[int, tuple[int, ...]]) -> None:
+    """The perfect Delta-matching invariants: each survivor takes exactly delta
+    of the leaver's tasks and none it already holds, no task goes to two
+    survivors, and together they take every one of the leaver's tasks."""
+    held_by = {t: holders for holders, tasks in graph.classes.items() for t in tasks}
+    assert set(intake) == set(graph.left)
+    for u, tasks in intake.items():
+        assert len(tasks) == graph.delta, f"survivor {u} takes {len(tasks)} != {graph.delta}"
+        assert all(t in held_by and u not in held_by[t] for t in tasks), \
+            f"survivor {u} takes a task it holds or the leaver does not"
+    taken = [t for tasks in intake.values() for t in tasks]
+    assert len(taken) == len(set(taken)), "a task goes to two survivors"
+    assert set(taken) == set(held_by), "the runs do not cover the leaver's tasks"
 
 
 def hall_feasible_all_leavers_enumerated(alloc: TaskAllocation) -> HallResult:

@@ -13,7 +13,6 @@ from fractions import Fraction
 import numpy as np
 
 from etalloc import (
-    DeltaMatching,
     ElasticEvent,
     ElasticTrace,
     TaskAllocation,
@@ -47,6 +46,8 @@ from etalloc import (
 )
 from etalloc.checks import doubled_block_tas, perturbed, probe_zero_waste_depth, random_tas
 
+from oracles import assert_perfect_intake
+
 
 class _Stopwatch:
     def __init__(self, name, limit_seconds=None):
@@ -77,9 +78,8 @@ def test_criterion_1_single_leave_reproduction():
         assert transition_waste(
             old, cyclic_tas_after_leave(5, 3, 20, 5, shift=17), leaver=5).total_waste == 0
         graph = build_transition_graph(old, 5)
-        matching = find_delta_matching(graph)
-        assert isinstance(matching, DeltaMatching) and matching.delta == 3
-        matching.check(graph)
+        assert graph.delta == 3
+        assert_perfect_intake(graph, find_delta_matching(graph))
 
 
 def test_criterion_2_three_to_four_join_costs_six():

@@ -1,5 +1,6 @@
 """Command-line surface: round trips, exit codes, and output formats."""
 
+import hashlib
 import json
 import random
 
@@ -29,6 +30,8 @@ from etalloc import (
 )
 from etalloc.checks import doubled_block_tas, perturbed
 from etalloc.cli import _detect_shift, main
+
+from oracles import assert_perfect_intake
 
 
 def run(argv, capsys):
@@ -142,10 +145,16 @@ class TestTransition:
         code, _, err = run(["transition", "--tas", str(path), "--leave", "4",
                             "--strategy", "zero_waste", "--out", str(tmp_path / "n.json")],
                            capsys)
-        matching = find_delta_matching(build_transition_graph(pool, 4))
+        graph = build_transition_graph(pool, 4)
+        intake = find_delta_matching(graph)
+        assert_perfect_intake(graph, intake)
         expected = "matching: " + json.dumps(
-            {str(t): m for t, m in sorted(matching.assignment.items())})
-        assert code == 0 and err.splitlines()[0] == expected
+            {str(t): m for t, m in sorted((t, m) for m, tasks in intake.items() for t in tasks)})
+        line = err.splitlines()[0]
+        assert code == 0 and line == expected
+        # The flow's expansion order is part of the output, so the line is pinned.
+        assert hashlib.sha256(line.encode()).hexdigest() == (
+            "14bb5d21d9f84e2a757ca4f56cd5288af02a13f70878528de903116e775c0566")
 
     def test_detected_shift_equals_given_shift(self):
         rng = random.Random(17)
@@ -442,8 +451,10 @@ class TestVerify:
 
     def test_zwr_fano_range_drill(self, capsys):
         code, out, _ = run(["verify", "zwr", "--family", "fano"], capsys)
-        assert code == 0
+        assert code == 0 and out.endswith("7/7 checks passed\n")
         assert "[5,7]" in out and "42 ordered leave pairs" in out
+        assert ("cyclic (7,3) root below-range survival probe (report only) "
+                "[to 4 machines: 199 feasible / 11 infeasible;") in out
 
     def test_hall_suite(self, capsys):
         code, out, _ = run(["verify", "hall", "--count", "30", "--seed", "6"], capsys)
@@ -453,6 +464,9 @@ class TestVerify:
         (["formulas", "--lmax", "1"], "l_max=1"),
         (["formulas", "--nmax", "3"], "n_max=3"),
         (["coded", "--trials", "0"], "got 0"),
+        (["hall", "--count", "-3"], "n_samples=-3"),
+        (["formulas", "--multiplier", "0"], "multiplier=0"),
+        (["formulas", "--multiplier", "-1"], "multiplier=-1"),
     ])
     def test_runs_that_check_nothing_are_usage_errors(self, argv, message, capsys):
         code, out, err = run(["verify", *argv], capsys)

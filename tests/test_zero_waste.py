@@ -10,7 +10,6 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from etalloc import (
-    DeltaMatching,
     DivisibilityError,
     ElasticEvent,
     ElasticTrace,
@@ -39,6 +38,7 @@ from etalloc.checks import doubled_block_tas, perturbed, random_tas
 from etalloc import core, zero_waste
 
 from oracles import (
+    assert_perfect_intake,
     best_effort_leave_cold,
     find_delta_matching_per_task,
     hall_feasible_all_leavers_enumerated,
@@ -102,7 +102,8 @@ class TestTransitionGraph:
     def test_graph_for_machine_five_leaving(self):
         graph = build_transition_graph(FIG1A, 5)
         assert graph.delta == 3
-        assert graph.right == tuple(sorted({0, 1, 2, 3, 4, 5, 6, 7, 16, 17, 18, 19}))
+        assert sorted(t for tasks in graph.classes.values() for t in tasks) == [
+            0, 1, 2, 3, 4, 5, 6, 7, 16, 17, 18, 19]
         assert graph.neighbors[1] == frozenset({16, 17, 18, 19})
         assert graph.neighbors[2] == frozenset({0, 1, 2, 3, 16, 17, 18, 19})
         assert graph.neighbors[3] == frozenset({0, 1, 2, 3, 4, 5, 6, 7})
@@ -208,55 +209,65 @@ class TestHallAllLeavers:
             assert len(alloc.task_sets[m]) == (n - 1) * delta
 
 
+def _fig1a_child(assignment: dict[int, int]) -> TaskAllocation:
+    """The four survivors of FIG1A's leave of machine 5, each given the tasks
+    ``assignment`` maps to it; a task mapped to the leaver is dropped."""
+    survivors = (1, 2, 3, 4)
+    return TaskAllocation.from_sets(
+        [FIG1A.task_sets[u] | {t for t, m in assignment.items() if m == u} for u in survivors],
+        redundancy=3, n_tasks=20, machine_ids=survivors)
+
+
 class TestDeltaMatching:
+    # The matching published with Figure 1 for machine 5 leaving.
+    PUBLISHED = {17: 1, 18: 1, 19: 1, 2: 2, 3: 2, 16: 2,
+                 0: 3, 1: 3, 7: 3, 4: 4, 5: 4, 6: 4}
+
     def test_matching_for_machine_five_is_valid(self):
         graph = build_transition_graph(FIG1A, 5)
-        matching = find_delta_matching(graph)
-        matching.check(graph)
-        assert len(matching.assignment) == 12
+        intake = find_delta_matching(graph)
+        assert_perfect_intake(graph, intake)
+        assert sum(len(tasks) for tasks in intake.values()) == 12
+
+    def test_fig1a_intake_keeps_the_class_run_order(self):
+        # Each class hands out ascending runs to its survivors in order:
+        # (1, 4) gives 0, 1 to machine 2 and 2, 3 to machine 3, and so on.
+        assert find_delta_matching(build_transition_graph(FIG1A, 5)) == {
+            1: (16, 17, 18), 2: (0, 1, 19), 3: (2, 3, 4), 4: (5, 6, 7)}
 
     def test_published_matching_is_also_a_valid_witness(self):
-        graph = build_transition_graph(FIG1A, 5)
-        witness = DeltaMatching(assignment={
-            17: 1, 18: 1, 19: 1, 2: 2, 3: 2, 16: 2,
-            0: 3, 1: 3, 7: 3, 4: 4, 5: 4, 6: 4}, delta=3)
-        witness.check(graph)
+        child = _fig1a_child(self.PUBLISHED)
+        assert validate_tas(child).ok
+        assert transition_waste(FIG1A, child, leaver=5).total_waste == 0
 
     def test_check_rejects_a_task_its_machine_already_holds(self):
-        graph = build_transition_graph(FIG1A, 5)
-        published = {17: 1, 18: 1, 19: 1, 2: 2, 3: 2, 16: 2,
-                     0: 3, 1: 3, 7: 3, 4: 4, 5: 4, 6: 4}
         # Machine 1 already holds task 0; task 17 is one machine 2 could take.
-        held = {**published, 0: 1, 17: 2}
-        with pytest.raises(ValueError, match=r"pair \(machine 1, task 0\) is not an edge"):
-            DeltaMatching(assignment=held, delta=3).check(graph)
-        with pytest.raises(ValueError, match="is not an edge"):
-            DeltaMatching(assignment={**published, 0: 5}, delta=3).check(graph)
+        assert not validate_tas(_fig1a_child({**self.PUBLISHED, 0: 1, 17: 2})).ok
+        # Task 0 handed back to the leaver is then held by two survivors only.
+        assert not validate_tas(_fig1a_child({**self.PUBLISHED, 0: 5})).ok
 
     def test_empty_task_side_gives_empty_matching(self):
-        graph = TransitionGraph(leaver=9, left=(1, 2), right=(), classes={}, delta=0)
-        matching = find_delta_matching(graph)
-        assert matching.assignment == {}
-        matching.check(graph)
+        graph = TransitionGraph(leaver=9, left=(1, 2), classes={}, delta=0)
+        intake = find_delta_matching(graph)
+        assert intake == {1: (), 2: ()}
+        assert_perfect_intake(graph, intake)
 
     def test_empty_task_side_with_positive_intake_has_no_matching(self):
         # Two survivors that must take three tasks each from a leaver holding none.
-        graph = TransitionGraph(leaver=9, left=(1, 2), right=(), classes={}, delta=3)
+        graph = TransitionGraph(leaver=9, left=(1, 2), classes={}, delta=3)
         assert find_delta_matching(graph) is None
         assert find_delta_matching_per_task(graph) is None
 
     def test_isolated_task_vertex_is_infeasible(self):
         # Task 0 is held by neither survivor, task 1 by both.
-        graph = TransitionGraph(leaver=9, left=(1, 2), right=(0, 1),
+        graph = TransitionGraph(leaver=9, left=(1, 2),
                                 classes={(): (0,), (1, 2): (1,)}, delta=1)
         assert graph.neighbors == {1: frozenset({0}), 2: frozenset({0})}
         assert find_delta_matching(graph) is None
 
     def test_determinism(self):
         graph = build_transition_graph(FIG1A, 5)
-        first = find_delta_matching(graph)
-        second = find_delta_matching(graph)
-        assert first.assignment == second.assignment
+        assert find_delta_matching(graph) == find_delta_matching(graph)
 
     @pytest.mark.parametrize("capacity", [2**80, 2**200])
     def test_flow_above_2_to_the_60_is_pushed_whole(self, capacity):
@@ -348,7 +359,7 @@ class TestClassSolversMatchOracles:
         for leaver in alloc.machine_ids:
             graph = build_transition_graph(alloc, leaver)
             assert graph.delta == necessary_load_change(n, n - 1, l, f)
-            assert graph.delta * (n - 1) == len(graph.right)
+            assert graph.delta * (n - 1) == sum(len(tasks) for tasks in graph.classes.values())
 
     @given(pools())
     def test_delta_matching_verdicts_and_validity(self, alloc):
@@ -359,7 +370,11 @@ class TestClassSolversMatchOracles:
             assert (matching is None) == (oracle is None)
             assert (matching is not None) == hall_feasible_for_leaver(alloc, leaver).feasible
             if matching is not None:
-                matching.check(graph)
+                assert_perfect_intake(graph, matching)
+                assert_perfect_intake(graph, oracle)
+                child = zero_waste_leave(alloc, leaver).new_alloc
+                assert dict(child.task_sets) == {
+                    u: alloc.task_sets[u] | set(matching[u]) for u in graph.left}
 
     @given(pools())
     def test_cut_witness_violates_the_counting_condition(self, alloc):
